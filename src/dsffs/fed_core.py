@@ -25,6 +25,7 @@ from .dst_update import (
     magnitude_prune_hidden,
     prune_layer_by_magnitude,
     regrow_layer_by_gradient,
+    smallest,
 )
 from .input_selector import (
     InputLayerState,
@@ -115,8 +116,6 @@ class ClientState:
     n_samples: int
     X: np.ndarray
     y: np.ndarray
-    model: SparseNetwork | None = None
-    input_state: InputLayerState | None = None
 
 
 @dataclass
@@ -142,11 +141,10 @@ def local_train(client: ClientState, global_net: SparseNetwork,
     prune/regrow, no net removal).
     """
     net = global_net.copy()
-    client.model = net
-    state = InputLayerState.from_layer(net.layers[0], permanently_removed=global_removed)
-    client.input_state = state
     if config.local_epochs == 0:
         return net
+    if config.feature_selection:
+        state = InputLayerState.from_layer(net.layers[0], permanently_removed=global_removed)
 
     counts_round = (
         compute_schedule(sched, r) if config.feature_selection else ScheduleCounts(0, 0, 0)
@@ -233,39 +231,39 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
     deficit against `target` is refilled from inactive positions on
     allowed rows in descending |weight|. When `adjust` is set, up to
     floor(adjust_rate * target) kept connections may additionally be
-    swapped for strictly stronger candidates.
+    swapped for strictly stronger candidates: the i-th weakest kept for
+    the i-th strongest candidate, stopping at the first pair that does not
+    improve. All picks are `dst_update.smallest` partial selections.
     """
     w_abs = np.abs(agg_layer.weights)
     allowed = allowed_rows[:, None] & ~kept
 
-    deficit = target - int(kept.sum())
+    deficit = target - int(np.count_nonzero(kept))
     if deficit > 0:
-        cand_i, cand_j = np.nonzero(allowed)
-        if len(cand_i) < deficit:
+        cand = np.flatnonzero(allowed)
+        if len(cand) < deficit:
             raise ConfigError(
                 "cannot restore the layer connection target: "
-                f"{len(cand_i)} candidate positions for {deficit} needed"
+                f"{len(cand)} candidate positions for {deficit} needed"
             )
-        order = np.lexsort((cand_j, cand_i, -w_abs[cand_i, cand_j]))
-        for idx in order[:deficit]:
-            kept[cand_i[idx], cand_j[idx]] = True
-            allowed[cand_i[idx], cand_j[idx]] = False
+        pick = cand[smallest(-np.take(w_abs, cand), deficit)]
+        np.put(kept, pick, True)
+        np.put(allowed, pick, False)
 
     if adjust and adjust_rate > 0.0:
         budget = int(adjust_rate * target)
         if budget > 0:
-            kept_i, kept_j = np.nonzero(kept)
-            kept_order = np.lexsort((kept_j, kept_i, w_abs[kept_i, kept_j]))
-            cand_i, cand_j = np.nonzero(allowed)
-            cand_order = np.lexsort((cand_j, cand_i, -w_abs[cand_i, cand_j]))
-            n_swaps = min(budget, len(kept_order), len(cand_order))
-            for k in range(n_swaps):
-                ki, kj = kept_i[kept_order[k]], kept_j[kept_order[k]]
-                ci, cj = cand_i[cand_order[k]], cand_j[cand_order[k]]
-                if w_abs[ci, cj] <= w_abs[ki, kj]:
-                    break
-                kept[ki, kj] = False
-                kept[ci, cj] = True
+            live, cand = np.flatnonzero(kept), np.flatnonzero(allowed)
+            weak = live[smallest(np.take(w_abs, live), budget, ordered=True)]
+            strong = cand[smallest(-np.take(w_abs, cand), budget, ordered=True)]
+            n_swaps = min(len(weak), len(strong))
+            weak, strong = weak[:n_swaps], strong[:n_swaps]
+            # kept ascends and candidates descend, so the pairs that
+            # improve form a prefix
+            stop = np.take(w_abs, strong) <= np.take(w_abs, weak)
+            n_swaps = int(np.argmax(stop)) if stop.any() else n_swaps
+            np.put(kept, weak[:n_swaps], False)
+            np.put(kept, strong[:n_swaps], True)
     return kept
 
 
@@ -290,10 +288,8 @@ def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
         target_removed = server.schedule.T_r
         extra = target_removed - int(removed.sum())
         if extra > 0:
-            strengths = row_strengths(in_layer)
-            alive = np.nonzero(~removed)[0]
-            order = np.lexsort((alive, strengths[alive]))
-            removed[alive[order[:extra]]] = True
+            alive = np.flatnonzero(~removed)
+            removed[alive[smallest(row_strengths(in_layer)[alive], extra)]] = True
         in_layer.mask[removed, :] = False
         in_layer.weights[removed, :] = 0.0
     server.global_removed = removed
@@ -395,6 +391,11 @@ def run_training(config: FedConfig, data: PartitionedDataset):
             if config.feature_selection:
                 schedule.record(counts.n_remove)
             server.global_model = resparsify_and_reconcile(server, aggregated, config, r)
+            if not all(np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()
+                       for layer in server.global_model.layers):
+                raise FloatingPointError(
+                    f"round {r}: training diverged (non-finite global weights or biases)"
+                )
             server.round = r
             server.layer_nnz_history.append(server.global_model.layer_nnz())
             rm = recorder.record_round(server, [clients[m].n_samples for m in selected])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dst_update import TopologyDelta
+from .dst_update import TopologyDelta, cut, grow, smallest, smallest_sparing_last
 from .sparse_net import SparseLayer, SparseNetwork
 
 
@@ -113,7 +113,9 @@ class InputLayerState:
     """Connectivity bookkeeping for the input layer of one network.
 
     `connected[i]` mirrors whether mask row i has any live entry;
-    `permanently_removed` marks neurons excluded from regrowth for good.
+    `permanently_removed` marks neurons excluded from regrowth for good;
+    `strengths` holds the row strengths as of the last `refresh` (training
+    moves the weights, so a prune refreshes them first).
     """
 
     connected: np.ndarray
@@ -137,8 +139,8 @@ class InputLayerState:
 
 
 def row_strengths(layer: SparseLayer) -> np.ndarray:
-    """L1 norm of each input row's live weights."""
-    return (np.abs(layer.weights) * layer.mask).sum(axis=1)
+    """L1 norm of each input row's live weights (off-mask weights are 0)."""
+    return np.abs(layer.weights).sum(axis=1)
 
 
 def neuron_strength(layer: SparseLayer, i: int) -> float:
@@ -160,7 +162,7 @@ class InputUpdate:
 
 
 def prune_input(net: SparseNetwork, state: InputLayerState,
-                counts: ScheduleCounts, zeta: float, rng=None) -> InputUpdate:
+                counts: ScheduleCounts, zeta: float) -> InputUpdate:
     """Disconnect the weakest input neurons, then the weakest connections.
 
     First the counts.n_p connected, non-removed neurons with the lowest
@@ -168,12 +170,15 @@ def prune_input(net: SparseNetwork, state: InputLayerState,
     Then floor(zeta * remaining) live input connections of smallest
     |weight| are dropped; a row's last connection is spared where possible
     so neuron connectivity stays exactly the neuron-level accounting.
+    Both stages are partial selections with the contract of
+    `dst_update.smallest` and `dst_update.smallest_sparing_last` (axis=1):
+    exact counts, (score, row, col) order, O(n) plus O(k log k).
     """
     layer = net.layers[0]
     state.refresh(layer)
     delta = TopologyDelta()
 
-    prunable = np.nonzero(state.connected & ~state.permanently_removed)[0]
+    prunable = np.flatnonzero(state.connected & ~state.permanently_removed)
     n_p = counts.n_p
     if n_p > len(prunable):
         warnings.warn(
@@ -181,49 +186,23 @@ def prune_input(net: SparseNetwork, state: InputLayerState,
             "are prunable; pruning all of them",
             RuntimeWarning,
         )
-        n_p = len(prunable)
-    order = np.lexsort((prunable, state.strengths[prunable]))
-    victims = [int(i) for i in prunable[order[:n_p]]]
-    for i in victims:
-        for j in np.nonzero(layer.mask[i])[0]:
-            delta.pruned.append((0, i, int(j)))
-        layer.mask[i, :] = False
-        layer.weights[i, :] = 0.0
+    victims = prunable[smallest(state.strengths[prunable], n_p, ordered=True)]
+    rows, cols = np.nonzero(layer.mask[victims])
+    cut(layer, 0, victims[rows] * layer.cols + cols, delta)
+    state.connected[victims] = False
 
     if zeta > 0.0:
-        rows_i, cols_j = np.nonzero(layer.mask)
         # cap by the headroom of still-connected rows against the layer
         # target so the paired regrowth can always restore the count
-        capacity = int(layer.mask.any(axis=1).sum()) * layer.cols
-        k = min(int(zeta * len(rows_i)), max(0, capacity - net.nnz_targets[0]))
+        capacity = int(np.count_nonzero(state.connected)) * layer.cols
+        k = min(int(zeta * layer.nnz()), max(0, capacity - net.nnz_targets[0]))
         if k > 0:
-            mags = np.abs(layer.weights[rows_i, cols_j])
-            conn_order = np.lexsort((cols_j, rows_i, mags))
-            row_live = layer.mask.sum(axis=1)
-            chosen: list[int] = []
-            deferred: list[int] = []
-            for idx in conn_order:
-                if len(chosen) == k:
-                    break
-                i = rows_i[idx]
-                if row_live[i] <= 1:
-                    deferred.append(idx)
-                    continue
-                chosen.append(idx)
-                row_live[i] -= 1
-            for idx in deferred:
-                if len(chosen) == k:
-                    break
-                chosen.append(idx)
-            for idx in chosen:
-                i, j = int(rows_i[idx]), int(cols_j[idx])
-                layer.mask[i, j] = False
-                layer.weights[i, j] = 0.0
-                delta.pruned.append((0, i, j))
+            cut(layer, 0, smallest_sparing_last(np.abs(layer.weights), layer.mask, k, axis=1),
+                delta)
+            state.connected = layer.mask.any(axis=1)
 
     net.touch()
-    state.refresh(layer)
-    return InputUpdate(delta, victims)
+    return InputUpdate(delta, victims.tolist())
 
 
 def regrow_input(net: SparseNetwork, state: InputLayerState,
@@ -239,7 +218,8 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
     descending |gradient| until the layer is back at its connection
     target. Connection top-up never reuses a position pruned in this same
     update; neuron reconnection may (the whole row was just cleared, and
-    the single strongest position wins regardless of its history).
+    the single strongest position wins regardless of its history). Both
+    picks are `dst_update.smallest` on negated scores.
     """
     layer = net.layers[0]
     delta = update.delta
@@ -250,17 +230,10 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
             f"only {n_rm} of {counts.n_remove} neuron removals realized this update",
             RuntimeWarning,
         )
-    for i in update.pruned_neurons[:n_rm]:
-        state.permanently_removed[i] = True
-
-    pruned_here = np.zeros_like(layer.mask)
-    for (l, i, j) in delta.pruned:
-        if l == 0:
-            pruned_here[i, j] = True
+    state.permanently_removed[update.pruned_neurons[:n_rm]] = True
 
     # neuron reconnection: best row-max |gradient| wins, ties by index
-    state.refresh(layer)
-    pool = np.nonzero(~state.connected & ~state.permanently_removed)[0]
+    pool = np.flatnonzero(~state.connected & ~state.permanently_removed)
     n_g = counts.n_g
     if n_g > len(pool):
         warnings.warn(
@@ -268,42 +241,29 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
             "are disconnected and regrowable; reconnecting all",
             RuntimeWarning,
         )
-        n_g = len(pool)
-    if n_g > 0:
-        grad_abs = np.abs(input_dense_grad)
-        best_cols = np.argmax(grad_abs[pool], axis=1)  # first max = lowest column
-        scores = grad_abs[pool, best_cols]
-        pick = np.lexsort((pool, -scores))[:n_g]
-        for k in pick:
-            i, j = int(pool[k]), int(best_cols[k])
-            layer.mask[i, j] = True
-            layer.weights[i, j] = 0.0
-            delta.regrown.append((0, i, j))
-            update.reconnected_neurons.append(i)
+    if n_g > 0 and len(pool):
+        grad_abs = np.abs(input_dense_grad[pool])
+        best_cols = np.argmax(grad_abs, axis=1)  # first max = lowest column
+        pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], n_g)
+        grow(layer, 0, pool[pick] * layer.cols + best_cols[pick], delta)
+        state.connected[pool[pick]] = True
+        update.reconnected_neurons.extend(pool[pick].tolist())
 
     # connection top-up on connected rows, back to the layer target
-    state.refresh(layer)
     need = net.nnz_targets[0] - layer.nnz()
     if need > 0:
-        eligible = (~layer.mask) & (~pruned_here) & state.connected[:, None]
-        cand_i, cand_j = np.nonzero(eligible)
-        if len(cand_i) < need:
+        eligible = ~layer.mask & ~delta.pruned_mask(0, layer.mask.shape)
+        eligible &= state.connected[:, None]
+        cand = np.flatnonzero(eligible)
+        if len(cand) < need:
             warnings.warn(
-                f"input layer: only {len(cand_i)} positions available to regrow "
+                f"input layer: only {len(cand)} positions available to regrow "
                 f"{need}; connection count will recover on a later update",
                 RuntimeWarning,
             )
-            need = len(cand_i)
-        g = np.abs(input_dense_grad[cand_i, cand_j])
-        order = np.lexsort((cand_j, cand_i, -g))
-        for idx in order[:need]:
-            i, j = int(cand_i[idx]), int(cand_j[idx])
-            layer.mask[i, j] = True
-            layer.weights[i, j] = 0.0
-            delta.regrown.append((0, i, j))
+        grow(layer, 0, cand[smallest(-np.abs(np.take(input_dense_grad, cand)), need)], delta)
 
     net.touch()
-    state.refresh(layer)
     return update
 
 

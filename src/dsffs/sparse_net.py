@@ -39,7 +39,7 @@ class SparseLayer:
         self.rows, self.cols = weights.shape
 
     def nnz(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     def enforce_mask(self) -> None:
         self.weights[~self.mask] = 0.0

@@ -6,6 +6,7 @@ import pytest
 from dsffs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     ExperimentConfig,
     load_config,
     main,
@@ -103,23 +104,31 @@ class TestCmdRun:
 
     def test_config_error_exit_code(self, tmp_path):
         p = write_cfg(tmp_path, TINY.replace("clients: 2", "clients: 1"))
-        assert main(["run", "--config", p]) == EXIT_CONFIG
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_missing_config_exit_code(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
+        assert main(["run", "--config", str(tmp_path / "nope.yaml"),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_missing_dataset_file_is_config_error(self, tmp_path):
         p = write_cfg(tmp_path, TINY.replace(
             "dataset: synthetic", f"dataset: csv\npath: {tmp_path}/absent.csv"))
-        assert main(["run", "--config", p]) == EXIT_CONFIG
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_malformed_dataset_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,label\n1,oops,0\n")
         p = write_cfg(tmp_path, TINY.replace(
             "dataset: synthetic", f"dataset: csv\npath: {bad}"))
-        from dsffs.cli import EXIT_RUNTIME
-        assert main(["run", "--config", p]) == EXIT_RUNTIME
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+
+    def test_diverging_run_fails_with_round(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TINY + "lr: 1.0e+200\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_RUNTIME
+        assert "round 1:" in capsys.readouterr().err
+        assert not (out / "selected_features.json").exists()
+        assert not (out / "metrics.csv").exists()
 
 
 class TestCmdFigure1:
@@ -138,7 +147,7 @@ class TestCmdFigure1:
     def test_requires_synthetic(self, tmp_path):
         p = write_cfg(tmp_path, TINY.replace("dataset: synthetic",
                                              "dataset: csv\npath: x.csv"))
-        assert main(["figure1", "--config", p]) == EXIT_CONFIG
+        assert main(["figure1", "--config", p, "--out", str(tmp_path / "fig")]) == EXIT_CONFIG
 
 
 class TestCmdInspect:

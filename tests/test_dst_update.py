@@ -21,12 +21,17 @@ def two_layer(hidden_w, hidden_mask=None, cols=None):
                      [np.ones_like(stub, dtype=bool), np.array(hidden_mask, bool)])
 
 
+def conns(triples) -> set:
+    """A TopologyDelta array of (layer, row, col) rows as a set of tuples."""
+    return set(map(tuple, triples.tolist()))
+
+
 class TestMagnitudePrune:
     def test_prunes_smallest_magnitude(self):
         net = two_layer([[0.9, -0.5], [0.1, 0.3], [0.0, 0.0]],
                         hidden_mask=[[1, 1], [1, 1], [0, 0]])
         delta = magnitude_prune_hidden(net, 0.25)  # floor(0.25 * 4) = 1
-        assert delta.pruned == [(1, 1, 0)]
+        assert delta.pruned.tolist() == [[1, 1, 0]]
         assert not net.layers[1].mask[1, 0]
         assert net.layers[1].weights[1, 0] == 0.0
 
@@ -35,7 +40,7 @@ class TestMagnitudePrune:
                         hidden_mask=[[1, 1], [1, 1], [0, 0]])
         before = net.layers[1].mask.copy()
         delta = magnitude_prune_hidden(net, 0.2)  # floor(0.8) = 0
-        assert delta.pruned == []
+        assert delta.pruned.tolist() == []
         assert np.array_equal(net.layers[1].mask, before)
 
     def test_tie_break_lexicographic_exhaustive(self):
@@ -43,7 +48,7 @@ class TestMagnitudePrune:
         net = two_layer([[0.5, -0.5], [0.5, 0.5]])
         delta = TopologyDelta()
         prune_layer_by_magnitude(net, 1, 2, delta)
-        assert sorted(delta.pruned) == [(1, 0, 0), (1, 0, 1)]
+        assert sorted(delta.pruned.tolist()) == [[1, 0, 0], [1, 0, 1]]
         # exhaustive over every 4-permutation of distinct magnitudes: the two
         # smallest go unless column protection holds one back
         from itertools import permutations
@@ -61,14 +66,14 @@ class TestMagnitudePrune:
         net = two_layer([[0.01, 1.0], [0.0, 2.0], [0.0, 3.0]],
                         hidden_mask=[[1, 1], [0, 1], [0, 1]])
         delta = magnitude_prune_hidden(net, 0.26)  # floor(0.26 * 4) = 1
-        assert delta.pruned == [(1, 0, 1)]
+        assert delta.pruned.tolist() == [[1, 0, 1]]
         assert net.layers[1].mask[0, 0]
 
     def test_empty_layer_warns_and_skips(self):
         net = two_layer([[0.0, 0.0]], hidden_mask=[[0, 0]])
         with pytest.warns(RuntimeWarning, match="no connections"):
             delta = magnitude_prune_hidden(net, 0.5)
-        assert delta.pruned == []
+        assert delta.pruned.tolist() == []
 
     def test_rejects_bad_fraction(self):
         net = two_layer([[1.0, 2.0]])
@@ -80,7 +85,7 @@ class TestMagnitudePrune:
         net = two_layer([[1.0, 2.0], [3.0, 4.0]])
         assert churn_count(net, 1, 0.5) == 0
         delta = magnitude_prune_hidden(net, 0.5)
-        assert delta.pruned == []
+        assert delta.pruned.tolist() == []
 
 
 class TestGradientRegrow:
@@ -91,7 +96,7 @@ class TestGradientRegrow:
         delta = TopologyDelta()
         grads = [np.zeros((1, 2)), np.array([[0.0, 0.7], [0.2, 0.0]])]
         gradient_regrow_hidden(net, grads, delta)
-        assert delta.regrown == [(1, 0, 1)]
+        assert delta.regrown.tolist() == [[1, 0, 1]]
         assert net.layers[1].mask[0, 1]
         assert net.layers[1].weights[0, 1] == 0.0
 
@@ -100,15 +105,15 @@ class TestGradientRegrow:
         delta = TopologyDelta()
         grads = [np.zeros((1, 2)), np.ones((2, 2))]
         gradient_regrow_hidden(net, grads, delta)
-        assert delta.regrown == []
+        assert delta.regrown.tolist() == []
 
     def test_just_pruned_positions_ineligible(self):
         net = two_layer([[1.0, 0.0], [0.0, 2.0]], hidden_mask=[[1, 0], [0, 1]])
         net.nnz_targets[1] = 3
-        delta = TopologyDelta(pruned=[(1, 0, 1)])
+        delta = TopologyDelta(pruned=np.array([[1, 0, 1]]))
         grads = [np.zeros((1, 2)), np.array([[0.0, 9.9], [0.4, 0.0]])]
         gradient_regrow_hidden(net, grads, delta)
-        assert delta.regrown == [(1, 1, 0)]
+        assert delta.regrown.tolist() == [[1, 1, 0]]
 
     def test_nnz_conserved_over_random_instances(self):
         # 3x3 layer, 4 active, prune 2 / regrow 2, brute-force recount
@@ -128,7 +133,7 @@ class TestGradientRegrow:
             recount = int(sum(bool(net.layers[1].mask[i, j])
                               for i in range(3) for j in range(3)))
             assert recount == 4
-            assert not set(delta.pruned) & set(delta.regrown)
+            assert not conns(delta.pruned) & conns(delta.regrown)
             net.validate()
 
     def test_regrown_weights_start_at_zero(self, rng):
@@ -151,7 +156,7 @@ class TestGradientRegrow:
             net = two_layer(w.copy(), hidden_mask=mask.copy())
             delta = magnitude_prune_hidden(net, 0.3)
             gradient_regrow_hidden(net, [np.zeros((1, 5)), g], delta)
-            results.append((tuple(delta.pruned), tuple(delta.regrown),
+            results.append((delta.pruned.tolist(), delta.regrown.tolist(),
                             net.layers[1].mask.copy()))
         assert results[0][0] == results[1][0]
         assert results[0][1] == results[1][1]

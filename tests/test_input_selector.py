@@ -252,7 +252,8 @@ class TestRegrowInput:
             counts = ScheduleCounts(2, 1, 1)
             update = prune_input(net, state, counts, zeta=0.25)
             regrow_input(net, state, counts, rng.normal(size=(9, 5)), update)
-            overlap = set(update.delta.pruned) & set(update.delta.regrown)
+            overlap = (set(map(tuple, update.delta.pruned.tolist()))
+                       & set(map(tuple, update.delta.regrown.tolist())))
             assert all(i in update.reconnected_neurons for (_, i, _j) in overlap)
 
     def test_permanently_removed_never_reconnected(self):
