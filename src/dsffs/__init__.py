@@ -32,7 +32,6 @@ from .input_selector import (
     ScheduleCounts,
     SelectionResult,
     compute_schedule,
-    neuron_strength,
     prune_input,
     regrow_input,
     select_features,
@@ -90,7 +89,6 @@ __all__ = [
     "load_libsvm",
     "local_train",
     "magnitude_prune_hidden",
-    "neuron_strength",
     "normalize",
     "partition_noniid",
     "prune_input",

@@ -233,6 +233,12 @@ def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
     return parts
 
 
+def write_resolved_config(cfg: ExperimentConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
+        fh.write(resolved_lines(cfg))
+
+
 def write_metrics_csv(path: str, metrics: list[RoundMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RoundMetrics.CSV_HEADER + "\n")
@@ -242,13 +248,11 @@ def write_metrics_csv(path: str, metrics: list[RoundMetrics]) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, {"workers": args.workers, "out_dir": args.out})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(resolved_lines(cfg))
-
     parts = prepare(cfg)
     server, metrics, selection = run_training(cfg.fed_config(), parts)
 
+    # written only once training returned: a failed run leaves no directory
+    write_resolved_config(cfg)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), metrics)
     manifest = {
         "selected_features": selection.indices,
@@ -282,10 +286,6 @@ def cmd_figure1(args) -> int:
     cfg = load_config(args.config, {"out_dir": args.out})
     if cfg.dataset != "synthetic":
         raise ConfigError("the figure1 study requires a synthetic dataset config")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(resolved_lines(cfg))
-
     ds = build_dataset(cfg)
     informative = ds.meta["informative_idx"]
 
@@ -308,6 +308,7 @@ def cmd_figure1(args) -> int:
     log.info("figure1: training on noisy features with selection")
     _, m_fs, selection = run_one(ds, fs=True)
 
+    write_resolved_config(cfg)
     curves_path = os.path.join(cfg.out_dir, "figure1_curves.csv")
     with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("round,acc_original,acc_noisy_nofs,acc_noisy_fs\n")

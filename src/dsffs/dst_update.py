@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse_net import SparseNetwork, Gradients
+from .sparse_net import SparseNetwork
 
 
 def smallest(scores: np.ndarray, k: int, ordered: bool = False) -> np.ndarray:
@@ -200,11 +200,10 @@ def magnitude_prune_hidden(net: SparseNetwork, fraction: float) -> TopologyDelta
     return delta
 
 
-def gradient_regrow_hidden(net: SparseNetwork, dense_grads: Gradients | list,
+def gradient_regrow_hidden(net: SparseNetwork, dense_grads: list,
                            delta: TopologyDelta) -> TopologyDelta:
-    """Regrow every non-input layer back to its connection target."""
-    grads = dense_grads.dense if isinstance(dense_grads, Gradients) else dense_grads
+    """Regrow every non-input layer back to its target by dense-gradient magnitude."""
     for l in range(1, len(net.layers)):
-        regrow_layer_by_gradient(net, l, grads[l], delta)
+        regrow_layer_by_gradient(net, l, dense_grads[l], delta)
     net.touch()
     return delta

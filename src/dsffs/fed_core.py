@@ -134,11 +134,11 @@ def local_train(client: ClientState, global_net: SparseNetwork,
     """Train one client for Q epochs starting from the broadcast model.
 
     Each epoch runs minibatch SGD over the shard, then one topology
-    update: the dense gradient is re-evaluated on the epoch's last
-    minibatch at the post-step weights and feeds both the input-layer and
-    the hidden-layer prune/regrow. The first epoch of a round applies the
-    round's neuron schedule; later epochs apply steady-state churn (equal
-    prune/regrow, no net removal).
+    update: the dense gradient, which only this call asks backward() for,
+    is re-evaluated on the epoch's last minibatch at the post-step weights
+    and feeds both the input-layer and the hidden-layer prune/regrow. The
+    first epoch of a round applies the round's neuron schedule; later
+    epochs apply steady-state churn (equal prune/regrow, no net removal).
     """
     net = global_net.copy()
     if config.local_epochs == 0:
@@ -174,7 +174,7 @@ def local_train(client: ClientState, global_net: SparseNetwork,
         # not charged to the FLOPs accounting
         xb, yb = last_batch
         _, cache = forward(net, xb)
-        grads = backward(net, cache, yb)
+        grads = backward(net, cache, yb, dense=True)
 
         if config.feature_selection:
             counts = counts_round if q == 1 else counts_round.churn()
@@ -188,7 +188,7 @@ def local_train(client: ClientState, global_net: SparseNetwork,
             net.touch()
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
-            gradient_regrow_hidden(net, grads, delta)
+            gradient_regrow_hidden(net, grads.dense, delta)
         mask_velocity(net, velocity)
     return net
 

@@ -143,13 +143,6 @@ def row_strengths(layer: SparseLayer) -> np.ndarray:
     return np.abs(layer.weights).sum(axis=1)
 
 
-def neuron_strength(layer: SparseLayer, i: int) -> float:
-    """Strength of input neuron i: sum of |weight| over its live connections."""
-    if not 0 <= i < layer.rows:
-        raise IndexError(f"neuron index {i} outside 0..{layer.rows - 1}")
-    return float(np.abs(layer.weights[i][layer.mask[i]]).sum())
-
-
 @dataclass
 class InputUpdate:
     """One input-layer prune (and later regrow) in progress."""
@@ -157,8 +150,6 @@ class InputUpdate:
     delta: TopologyDelta
     # rows fully disconnected this update, in ascending pre-prune strength
     pruned_neurons: list[int]
-    # rows reconnected by the regrow step
-    reconnected_neurons: list[int] = field(default_factory=list)
 
 
 def prune_input(net: SparseNetwork, state: InputLayerState,
@@ -247,7 +238,6 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
         pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], n_g)
         grow(layer, 0, pool[pick] * layer.cols + best_cols[pick], delta)
         state.connected[pool[pick]] = True
-        update.reconnected_neurons.extend(pool[pick].tolist())
 
     # connection top-up on connected rows, back to the layer target
     need = net.nnz_targets[0] - layer.nnz()

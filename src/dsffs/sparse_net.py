@@ -1,10 +1,10 @@
 """Sparse multilayer perceptron with explicit connection masks.
 
 Weights live in dense buffers; a boolean mask of the same shape says which
-connections actually exist. Everything off-mask is pinned to exactly 0.0,
-so plain dense matmuls compute the sparse forward/backward pass. The
-backward pass also produces the gradient at *inactive* positions, which is
-what the gradient-magnitude regrowth steps consume.
+connections actually exist. Everything off-mask is pinned to exactly +0.0,
+so plain dense matmuls compute the sparse forward/backward pass. On request
+(`dense=True`) the backward pass also keeps the gradient at *inactive*
+positions, which the gradient-magnitude regrowth steps consume.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class SparseLayer:
         return int(np.count_nonzero(self.mask))
 
     def enforce_mask(self) -> None:
-        self.weights[~self.mask] = 0.0
+        self.weights *= self.mask
 
     def copy(self) -> "SparseLayer":
         return SparseLayer(self.weights.copy(), self.mask.copy(), self.bias.copy())
@@ -208,13 +208,16 @@ def forward(net: SparseNetwork, batch: np.ndarray):
     return a, ForwardCache(inputs, zs, net.version, batch.shape[0])
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by the row maximum for stability."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of softmax(logits) against integer labels."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
+    probs = softmax(logits)
+    loss = float(-np.log(probs[np.arange(len(logits)), labels] + 1e-300).mean())
     return loss, probs
 
 
@@ -222,19 +225,20 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 class Gradients:
     """Per-layer gradients of the mean cross-entropy loss.
 
-    `masked` is the true gradient of the sparse model (zero off-mask);
-    `dense` extends it to every position, treating each absent weight as a
-    free parameter currently at zero. Invariant: masked[l] == dense[l] *
-    mask[l].
+    `masked` is the true gradient of the sparse model (zero off-mask).
+    `dense`, None unless backward() is asked for it, extends it to every
+    position, treating each absent weight as a free parameter currently at
+    zero. Invariant: masked[l] == dense[l] * mask[l], byte for byte.
     """
 
     masked: list[np.ndarray]
-    dense: list[np.ndarray]
+    dense: list[np.ndarray] | None
     bias: list[np.ndarray]
 
 
-def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray) -> Gradients:
-    """Backprop through the cached forward pass."""
+def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray,
+             dense: bool = False) -> Gradients:
+    """Backprop through the cached forward pass; keep `Gradients.dense` if `dense`."""
     if cache.version != net.version:
         raise ValueError("stale cache: network changed since forward()")
     labels = np.asarray(labels)
@@ -242,22 +246,21 @@ def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray) -> Gra
         raise ValueError("labels do not match the cached batch")
 
     n_layers = len(net.layers)
-    _, probs = softmax_cross_entropy(cache.zs[-1], labels)
-    delta = probs
+    delta = softmax(cache.zs[-1])
     delta[np.arange(cache.batch_size), labels] -= 1.0
     delta /= cache.batch_size
 
-    dense = [None] * n_layers
-    bias = [None] * n_layers
+    masked, full, bias = [None] * n_layers, [None] * n_layers, [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        dense[l] = cache.inputs[l].T @ delta
+        full[l] = g = cache.inputs[l].T @ delta
+        # masked in place unless the dense gradient is kept
+        masked[l] = np.multiply(g, net.layers[l].mask, out=None if dense else g)
         bias[l] = delta.sum(axis=0)
         if l > 0:
             # propagate through live connections only; weights are already
             # zero off-mask so the plain matmul is the sparse product
             delta = (delta @ net.layers[l].weights.T) * (cache.zs[l - 1] > 0.0)
-    masked = [dense[l] * net.layers[l].mask for l in range(n_layers)]
-    return Gradients(masked, dense, bias)
+    return Gradients(masked, full if dense else None, bias)
 
 
 def new_velocity(net: SparseNetwork):
@@ -275,22 +278,31 @@ def sgd_step(net, grads: Gradients, lr: float, momentum: float = 0.0,
     `prox` is an optional (mu, anchor_network) pair; when present,
     mu * (w - w_anchor) is added to the weight gradient at live positions.
     Returns the velocity buffers for reuse on the next call.
+
+    Off-mask weights enter as +0.0 and velocity as +-0.0, so `w - lr * v`
+    is +0.0 there and the in-place multiply by the mask keeps it: while
+    values are finite, the same bits as zeroing off-mask positions.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if velocity is None:
         velocity = new_velocity(net)
     for l, layer in enumerate(net.layers):
-        g = grads.masked[l]
-        if prox is not None:
-            mu, anchor = prox
-            if mu != 0.0:
-                g = g + mu * (layer.weights - anchor.layers[l].weights) * layer.mask
         vw, vb = velocity[l]
         vw *= momentum
-        vw += g
+        if prox is not None and prox[0] != 0.0:
+            mu, anchor = prox
+            # g + mu * (w - anchor) * mask in one buffer (+ and * commute
+            # bitwise), freed before lr * vw takes another of its size
+            t = layer.weights - anchor.layers[l].weights
+            t *= mu
+            t *= layer.mask
+            vw += np.add(t, grads.masked[l], out=t)
+            del t
+        else:
+            vw += grads.masked[l]
         layer.weights -= lr * vw
-        layer.weights[~layer.mask] = 0.0
+        layer.enforce_mask()
         vb *= momentum
         vb += grads.bias[l]
         layer.bias -= lr * vb

@@ -120,15 +120,17 @@ class TestCmdRun:
         bad.write_text("a,b,label\n1,oops,0\n")
         p = write_cfg(tmp_path, TINY.replace(
             "dataset: synthetic", f"dataset: csv\npath: {bad}"))
-        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_RUNTIME
+        assert not out.exists()
 
     def test_diverging_run_fails_with_round(self, tmp_path, capsys):
         p = write_cfg(tmp_path, TINY + "lr: 1.0e+200\n")
         out = tmp_path / "out"
         assert main(["run", "--config", p, "--out", str(out)]) == EXIT_RUNTIME
         assert "round 1:" in capsys.readouterr().err
-        assert not (out / "selected_features.json").exists()
-        assert not (out / "metrics.csv").exists()
+        # not even config.resolved: a failed run leaves no output directory
+        assert not out.exists()
 
 
 class TestCmdFigure1:
@@ -148,6 +150,13 @@ class TestCmdFigure1:
         p = write_cfg(tmp_path, TINY.replace("dataset: synthetic",
                                              "dataset: csv\npath: x.csv"))
         assert main(["figure1", "--config", p, "--out", str(tmp_path / "fig")]) == EXIT_CONFIG
+
+    def test_diverging_study_leaves_no_output(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TINY + "lr: 1.0e+200\n")
+        out = tmp_path / "fig"
+        assert main(["figure1", "--config", p, "--out", str(out)]) == EXIT_RUNTIME
+        assert "round 1:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdInspect:

@@ -1,11 +1,15 @@
-"""Golden output of a short desk run: refactors must keep it byte for byte.
+"""Golden outputs of short desk runs: refactors must keep them byte for byte.
 
-The desk config (configs/synthetic_noisy.yaml) runs for 5 rounds in a
-child process with the BLAS thread pools pinned to one thread: the last
-digits of the reported strengths depend on how the matmuls split their
-work. The digests hold for a given numpy/BLAS build and CPU; re-record
-them only when the platform changes, never to absorb a change in what the
-program computes.
+Each run takes the desk config (configs/synthetic_noisy.yaml), cuts it to
+a few rounds, optionally overrides keys, and trains in a child process
+with the BLAS thread pools pinned to one thread: the last digits of the
+reported strengths depend on how the matmuls split their work. Three
+variants cover the distinct training branches: the desk config as is
+(input selection on, no proximal term), selection off (layer 0 runs plain
+DST on the dense input-layer gradient) and FedProx (mu > 0, the proximal
+branch of the SGD step). The digests hold for a given numpy/BLAS build and
+CPU; re-record them only when the platform changes, never to absorb a
+change in what the program computes.
 """
 
 import hashlib
@@ -16,18 +20,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-GOLDEN = {
-    "metrics.csv": "df79f270a7b4a6fc9f787b9a5b9e33907b4c4b3cc5c0b94859c3144e98ae3387",
-    "selected_features.json":
-        "07bd239d4bba02403ee87923314b2485a99dd31bfe1562dd7bf595bb43f054e1",
-}
 
-
-def test_desk_run_matches_recorded_hashes(tmp_path):
+def run_desk(tmp_path, rounds, overrides=""):
+    """Run the cut-down desk config; return {file name: sha256} of its outputs."""
     text = (REPO / "configs" / "synthetic_noisy.yaml").read_text(encoding="utf-8")
     assert "rounds: 60" in text
-    (tmp_path / "desk.yaml").write_text(text.replace("rounds: 60", "rounds: 5"),
-                                        encoding="utf-8")
+    text = text.replace("rounds: 60", f"rounds: {rounds}") + overrides
+    (tmp_path / "desk.yaml").write_text(text, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "DSFFS_SEED"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
@@ -38,5 +37,29 @@ def test_desk_run_matches_recorded_hashes(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    for name, digest in GOLDEN.items():
-        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("metrics.csv", "selected_features.json")}
+
+
+def test_desk_run_matches_recorded_hashes(tmp_path):
+    assert run_desk(tmp_path, 5) == {
+        "metrics.csv": "df79f270a7b4a6fc9f787b9a5b9e33907b4c4b3cc5c0b94859c3144e98ae3387",
+        "selected_features.json":
+            "07bd239d4bba02403ee87923314b2485a99dd31bfe1562dd7bf595bb43f054e1",
+    }
+
+
+def test_selection_off_run_matches_recorded_hashes(tmp_path):
+    assert run_desk(tmp_path, 3, "feature_selection: false\n") == {
+        "metrics.csv": "531d3a084ef4ce9f94ffca1f8ff44c05de0fa6610b984d23356e82a34ae51ba2",
+        "selected_features.json":
+            "bf7dbf5b5ae75bb45ed00dfb06ecffb882493bc2dee73c19aeb9f076913eba96",
+    }
+
+
+def test_fedprox_run_matches_recorded_hashes(tmp_path):
+    assert run_desk(tmp_path, 3, "mu: 0.01\n") == {
+        "metrics.csv": "d1d0013dbf946ac8fd4ffb087825052b0aa4183a1d719f3b486adb6a9fb73e8a",
+        "selected_features.json":
+            "522f6d09621826db7ac2a7def30e62056da0b70b6a4af02463fbdddf3ea9884a",
+    }

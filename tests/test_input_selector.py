@@ -6,9 +6,9 @@ from dsffs.input_selector import (
     InputSchedule,
     ScheduleCounts,
     compute_schedule,
-    neuron_strength,
     prune_input,
     regrow_input,
+    row_strengths,
     select_features,
 )
 
@@ -26,22 +26,25 @@ def input_net(w, mask=None, hidden=None):
 
 
 class TestNeuronStrength:
+    """A neuron's strength is the L1 norm of its live input-layer row (row_strengths)."""
+
     def test_l1_sum(self):
         net = input_net([[0.5, -0.3, 0.2], [0.0, 0.0, 0.0]])
-        assert neuron_strength(net.layers[0], 0) == pytest.approx(1.0)
+        assert row_strengths(net.layers[0])[0] == pytest.approx(1.0)
 
     def test_disconnected_row_is_zero(self):
         net = input_net([[0.5, 0.1], [0.0, 0.0]], mask=[[1, 1], [0, 0]])
-        assert neuron_strength(net.layers[0], 1) == 0.0
+        assert row_strengths(net.layers[0])[1] == 0.0
 
     def test_absolute_value(self):
         net = input_net([[-2.0]])
-        assert neuron_strength(net.layers[0], 0) == pytest.approx(2.0)
+        assert row_strengths(net.layers[0])[0] == pytest.approx(2.0)
 
     def test_index_bounds(self):
-        net = input_net([[1.0]])
+        strengths = row_strengths(input_net([[1.0]]).layers[0])
+        assert strengths.shape == (1,)
         with pytest.raises(IndexError):
-            neuron_strength(net.layers[0], 1)
+            strengths[1]
 
 
 class TestSchedule:
@@ -254,7 +257,9 @@ class TestRegrowInput:
             regrow_input(net, state, counts, rng.normal(size=(9, 5)), update)
             overlap = (set(map(tuple, update.delta.pruned.tolist()))
                        & set(map(tuple, update.delta.regrown.tolist())))
-            assert all(i in update.reconnected_neurons for (_, i, _j) in overlap)
+            # such a neuron was cleared whole this update and is connected again
+            assert all(i in update.pruned_neurons and state.connected[i]
+                       for (_, i, _j) in overlap)
 
     def test_permanently_removed_never_reconnected(self):
         rng = np.random.default_rng(5)

@@ -106,7 +106,7 @@ class TestBackward:
         X = rng.normal(size=(7, 10))
         y = rng.integers(0, 4, size=7)
         _, cache = forward(net, X)
-        g = backward(net, cache, y)
+        g = backward(net, cache, y, dense=True)
         for l, layer in enumerate(net.layers):
             assert np.array_equal(g.masked[l], g.dense[l] * layer.mask)
             assert np.all(g.masked[l][~layer.mask] == 0.0)
@@ -116,10 +116,10 @@ class TestBackward:
         X = rng.normal(size=(4, 6))
         y = rng.integers(0, 3, size=4)
         _, cache = forward(net, X)
-        g1 = backward(net, cache, y)
+        g1 = backward(net, cache, y, dense=True)
         X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
         _, cache2 = forward(net, X2)
-        g2 = backward(net, cache2, y2)
+        g2 = backward(net, cache2, y2, dense=True)
         for a, b in zip(g1.dense, g2.dense):
             assert np.allclose(a, b, atol=1e-14)
 
