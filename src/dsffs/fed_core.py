@@ -134,11 +134,12 @@ def local_train(client: ClientState, global_net: SparseNetwork,
     """Train one client for Q epochs starting from the broadcast model.
 
     Each epoch runs minibatch SGD over the shard, then one topology
-    update: the dense gradient, which only this call asks backward() for,
-    is re-evaluated on the epoch's last minibatch at the post-step weights
-    and feeds both the input-layer and the hidden-layer prune/regrow. The
-    first epoch of a round applies the round's neuron schedule; later
-    epochs apply steady-state churn (equal prune/regrow, no net removal).
+    update: the dense gradient is re-evaluated on the epoch's last
+    minibatch at the post-step weights and feeds both the input-layer and
+    the hidden-layer prune/regrow, and the momentum moves onto the new
+    masks. The first epoch of a round applies the round's neuron schedule;
+    later epochs apply steady-state churn (equal prune/regrow, no net
+    removal).
     """
     net = global_net.copy()
     if config.local_epochs == 0:
@@ -174,21 +175,21 @@ def local_train(client: ClientState, global_net: SparseNetwork,
         # not charged to the FLOPs accounting
         xb, yb = last_batch
         _, cache = forward(net, xb)
-        grads = backward(net, cache, yb, dense=True)
+        grads = backward(net, cache, yb)
 
         if config.feature_selection:
             counts = counts_round if q == 1 else counts_round.churn()
             update = prune_input(net, state, counts, config.zeta)
-            regrow_input(net, state, counts, grads.dense[0], update)
+            regrow_input(net, state, counts, grads.weights[0], update)
         elif config.zeta > 0.0:
             # plain dynamic sparse training on the input layer too
             delta0 = TopologyDelta()
             prune_layer_by_magnitude(net, 0, churn_count(net, 0, config.zeta), delta0)
-            regrow_layer_by_gradient(net, 0, grads.dense[0], delta0)
+            regrow_layer_by_gradient(net, 0, grads.weights[0], delta0)
             net.touch()
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
-            gradient_regrow_hidden(net, grads.dense, delta)
+            gradient_regrow_hidden(net, grads.weights, delta)
         mask_velocity(net, velocity)
     return net
 

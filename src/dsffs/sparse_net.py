@@ -2,9 +2,14 @@
 
 Weights live in dense buffers; a boolean mask of the same shape says which
 connections actually exist. Everything off-mask is pinned to exactly +0.0,
-so plain dense matmuls compute the sparse forward/backward pass. On request
-(`dense=True`) the backward pass also keeps the gradient at *inactive*
-positions, which the gradient-magnitude regrowth steps consume.
+so plain dense matmuls compute the sparse forward/backward pass. The
+backward pass returns the gradient at every position, inactive ones
+included, which the gradient-magnitude regrowth steps consume.
+
+Optimizer state is sparse: momentum exists only for live connections,
+held at each layer's sorted flat live index (`new_velocity`). Call
+`mask_velocity` after any mask change and before the next `sgd_step`. A
+step reads and writes live weights only; it never writes an inactive one.
 """
 
 from __future__ import annotations
@@ -225,20 +230,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 class Gradients:
     """Per-layer gradients of the mean cross-entropy loss.
 
-    `masked` is the true gradient of the sparse model (zero off-mask).
-    `dense`, None unless backward() is asked for it, extends it to every
-    position, treating each absent weight as a free parameter currently at
-    zero. Invariant: masked[l] == dense[l] * mask[l], byte for byte.
+    `weights[l]` is dense: at live positions it is the true gradient of the
+    sparse model; at inactive ones it treats each absent weight as a free
+    parameter currently at zero. `sgd_step` reads only the live positions.
     """
 
-    masked: list[np.ndarray]
-    dense: list[np.ndarray] | None
+    weights: list[np.ndarray]
     bias: list[np.ndarray]
 
 
-def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray,
-             dense: bool = False) -> Gradients:
-    """Backprop through the cached forward pass; keep `Gradients.dense` if `dense`."""
+def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray) -> Gradients:
+    """Backprop through the cached forward pass."""
     if cache.version != net.version:
         raise ValueError("stale cache: network changed since forward()")
     labels = np.asarray(labels)
@@ -250,59 +252,64 @@ def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray,
     delta[np.arange(cache.batch_size), labels] -= 1.0
     delta /= cache.batch_size
 
-    masked, full, bias = [None] * n_layers, [None] * n_layers, [None] * n_layers
+    weights, bias = [None] * n_layers, [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        full[l] = g = cache.inputs[l].T @ delta
-        # masked in place unless the dense gradient is kept
-        masked[l] = np.multiply(g, net.layers[l].mask, out=None if dense else g)
+        weights[l] = cache.inputs[l].T @ delta
         bias[l] = delta.sum(axis=0)
         if l > 0:
             # propagate through live connections only; weights are already
             # zero off-mask so the plain matmul is the sparse product
             delta = (delta @ net.layers[l].weights.T) * (cache.zs[l - 1] > 0.0)
-    return Gradients(masked, full if dense else None, bias)
+    return Gradients(weights, bias)
 
 
 def new_velocity(net: SparseNetwork):
-    """Zeroed momentum buffers matching the network's layers."""
-    return [
-        (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        for layer in net.layers
-    ]
+    """Zeroed momentum for the live connections of each layer.
+
+    One (idx, vw, vb) per layer: `idx` is the mask's sorted flat row-major
+    live index, `vw` the momentum of those connections (same length), `vb`
+    the bias momentum. Inactive connections have no momentum; after any
+    mask change, `mask_velocity` must move it before the next step.
+    """
+    velocity = []
+    for layer in net.layers:
+        idx = np.flatnonzero(layer.mask)
+        velocity.append((idx, np.zeros(len(idx)), np.zeros_like(layer.bias)))
+    return velocity
 
 
 def sgd_step(net, grads: Gradients, lr: float, momentum: float = 0.0,
              velocity=None, prox=None):
-    """One SGD(+momentum) update touching live connections only.
+    """One SGD(+momentum) update of the live connections.
+
+    Gathers gradient and weights at each layer's live index, updates them
+    as vectors and scatters the weights back; inactive weights are never
+    written, so they stay +0.0 whatever the gradient holds there. `velocity`
+    must match the current masks (see `mask_velocity`).
 
     `prox` is an optional (mu, anchor_network) pair; when present,
     mu * (w - w_anchor) is added to the weight gradient at live positions.
-    Returns the velocity buffers for reuse on the next call.
-
-    Off-mask weights enter as +0.0 and velocity as +-0.0, so `w - lr * v`
-    is +0.0 there and the in-place multiply by the mask keeps it: while
-    values are finite, the same bits as zeroing off-mask positions.
+    Returns the velocity for reuse on the next call.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if velocity is None:
         velocity = new_velocity(net)
     for l, layer in enumerate(net.layers):
-        vw, vb = velocity[l]
+        idx, vw, vb = velocity[l]
+        # a view: raises rather than write the update into a copy
+        flat = layer.weights.reshape(-1, copy=False)
+        w = flat[idx]
         vw *= momentum
         if prox is not None and prox[0] != 0.0:
             mu, anchor = prox
-            # g + mu * (w - anchor) * mask in one buffer (+ and * commute
-            # bitwise), freed before lr * vw takes another of its size
-            t = layer.weights - anchor.layers[l].weights
+            t = w - anchor.layers[l].weights.ravel()[idx]
             t *= mu
-            t *= layer.mask
-            vw += np.add(t, grads.masked[l], out=t)
-            del t
+            vw += np.add(t, grads.weights[l].ravel()[idx], out=t)
         else:
-            vw += grads.masked[l]
-        layer.weights -= lr * vw
-        layer.enforce_mask()
+            vw += grads.weights[l].ravel()[idx]
+        w -= lr * vw
+        flat[idx] = w
         vb *= momentum
         vb += grads.bias[l]
         layer.bias -= lr * vb
@@ -311,6 +318,15 @@ def sgd_step(net, grads: Gradients, lr: float, momentum: float = 0.0,
 
 
 def mask_velocity(net: SparseNetwork, velocity) -> None:
-    """Zero momentum at positions no longer in the mask (after topology updates)."""
-    for layer, (vw, _) in zip(net.layers, velocity):
-        vw *= layer.mask
+    """Move momentum onto the current masks, in place.
+
+    Call after any mask change and before the next `sgd_step`. Connections
+    still live keep their momentum, regrown ones start at zero and pruned
+    ones drop theirs.
+    """
+    for l, layer in enumerate(net.layers):
+        idx, vw, vb = velocity[l]
+        full = np.zeros(layer.mask.size)
+        full[idx] = vw
+        idx = np.flatnonzero(layer.mask)
+        velocity[l] = (idx, full[idx], vb)

@@ -1,16 +1,27 @@
-"""Slow reference SGD path: dense gradients every step, boolean-index zeroing.
+"""Slow reference SGD path: dense gradients and dense momentum, boolean-index zeroing.
 
-These are the original `backward` and `sgd_step` the package replaced
-with in-place mask multiplies and an opt-in dense gradient
-(dsffs.sparse_net). They compute the same bytes while all values are
-finite, and serve as the oracle of tests/test_sgd_path.py.
+These are the original `backward`, `sgd_step`, `new_velocity` and
+`mask_velocity` that the package replaced with a dense-only gradient and
+momentum kept at live connections only (dsffs.sparse_net). They compute
+the same weight and bias bytes while all values are finite, and serve as
+the oracle of tests/test_sgd_path.py. Nothing here comes from the package,
+so the oracle cannot change along with the code it checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from dsffs.sparse_net import Gradients, new_velocity
+
+@dataclass
+class Gradients:
+    """`masked[l] == dense[l] * mask[l]`, both kept for every layer."""
+
+    masked: list[np.ndarray]
+    dense: list[np.ndarray]
+    bias: list[np.ndarray]
 
 
 def softmax_cross_entropy(logits, labels):
@@ -45,6 +56,25 @@ def backward(net, cache, labels) -> Gradients:
             delta = (delta @ net.layers[l].weights.T) * (cache.zs[l - 1] > 0.0)
     masked = [dense[l] * net.layers[l].mask for l in range(n_layers)]
     return Gradients(masked, dense, bias)
+
+
+def new_velocity(net):
+    """Zeroed dense momentum buffers matching the network's layers."""
+    return [
+        (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        for layer in net.layers
+    ]
+
+
+def mask_velocity(net, velocity) -> None:
+    """Zero momentum at positions no longer in the mask (after topology updates).
+
+    Written as +0.0, the momentum a new connection starts from: `vw *= mask`
+    would leave -0.0 where a pruned connection's momentum was negative, a
+    sign no weight ever sees but that the byte comparison would.
+    """
+    for layer, (vw, _) in zip(net.layers, velocity):
+        vw[~layer.mask] = 0.0
 
 
 def sgd_step(net, grads, lr, momentum=0.0, velocity=None, prox=None):

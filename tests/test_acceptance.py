@@ -133,7 +133,7 @@ def test_criterion_4_gradient_correctness():
         g = backward(net, cache, y)
         fd_w, fd_b = fd_weight_gradients(net, X, y, h=1e-5)
         for l, layer in enumerate(net.layers):
-            worst = max(worst, max_rel_err(g.masked[l][layer.mask], fd_w[l][layer.mask]))
+            worst = max(worst, max_rel_err(g.weights[l][layer.mask], fd_w[l][layer.mask]))
             worst = max(worst, max_rel_err(g.bias[l], fd_b[l]))
     elapsed = time.time() - start
     report(4, "gradient correctness", worst < 1e-4 and elapsed < 60,

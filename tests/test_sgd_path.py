@@ -1,15 +1,17 @@
-"""The in-place SGD path against the slow reference, byte for byte.
+"""The sparse-state SGD path against the slow dense reference, byte for byte.
 
-`backward` masks its gradient in place and keeps the dense one only on
-request; `sgd_step` enforces the mask by multiplying by it and builds the
-proximal term in place. Over random shapes, densities, hyperparameters and
+`backward` returns the dense gradient alone; `new_velocity` keeps momentum
+for live connections only, `sgd_step` updates the live weights as vectors
+and never writes an inactive one, and `mask_velocity` moves the momentum
+onto the new masks. Over random shapes, densities, hyperparameters and
 multi-step runs with topology churn between steps, weights, biases,
-gradients and momentum buffers must equal those of the original code
-(tests/reference_sgd.py) in every byte, so +0.0 and -0.0 count as
+gradients and the live momentum must equal those of the original dense
+code (tests/reference_sgd.py) in every byte, so +0.0 and -0.0 count as
 different.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +70,15 @@ def runs(draw):
     )
 
 
+def assert_velocity_matches(net, vel, ref_vel) -> None:
+    """Live momentum equals the dense reference at the live index; zero elsewhere."""
+    for layer, (idx, vw, vb), (ref_vw, ref_vb) in zip(net.layers, vel, ref_vel):
+        assert same_bytes(idx, np.flatnonzero(layer.mask))
+        assert same_bytes(vw, ref_vw.ravel()[idx])
+        assert np.all(ref_vw[~layer.mask] == 0.0)
+        assert same_bytes(vb, ref_vb)
+
+
 @PROPERTY
 @given(runs())
 def test_training_steps_match_reference_bytes(run):
@@ -88,19 +99,16 @@ def test_training_steps_match_reference_bytes(run):
         _, old_cache = forward(old, X)
         grads = backward(net, cache, y)
         old_grads = ref.backward(old, old_cache, y)
-        assert grads.dense is None
         for l in range(len(net.layers)):
-            assert same_bytes(grads.masked[l], old_grads.masked[l])
+            assert same_bytes(grads.weights[l], old_grads.dense[l])
             assert same_bytes(grads.bias[l], old_grads.bias[l])
 
         vel = sgd_step(net, grads, run["lr"], run["momentum"], vel, prox)
         old_vel = ref.sgd_step(old, old_grads, run["lr"], run["momentum"], old_vel, prox)
-        for layer, old_layer, (vw, vb), (old_vw, old_vb) in zip(
-                net.layers, old.layers, vel, old_vel):
+        for layer, old_layer in zip(net.layers, old.layers):
             assert same_bytes(layer.weights, old_layer.weights)
             assert same_bytes(layer.bias, old_layer.bias)
-            assert same_bytes(vw, old_vw)
-            assert same_bytes(vb, old_vb)
+        assert_velocity_matches(net, vel, old_vel)
         net.validate()
 
         # both masks are equal here, so one seed makes the same churn
@@ -108,25 +116,45 @@ def test_training_steps_match_reference_bytes(run):
         churn(np.random.default_rng(churn_seed), net, run["churn_rate"])
         churn(np.random.default_rng(churn_seed), old, run["churn_rate"])
         mask_velocity(net, vel)
-        mask_velocity(old, old_vel)
+        ref.mask_velocity(old, old_vel)
+        assert_velocity_matches(net, vel, old_vel)
 
 
 @PROPERTY
 @given(runs())
-def test_masked_gradient_same_with_and_without_dense(run):
+def test_gradient_is_reference_dense_gradient(run):
     rng = np.random.default_rng(run["seed"])
     dims = run["dims"]
     net = random_net(rng, dims, run["density"])
     X = rng.normal(size=(run["batch"], dims[0]))
     y = rng.integers(0, dims[-1], size=run["batch"])
     _, cache = forward(net, X)
-    lean = backward(net, cache, y)
-    full = backward(net, cache, y, dense=True)
+    grads = backward(net, cache, y)
     old = ref.backward(net, cache, y)
-    assert lean.dense is None
     for l, layer in enumerate(net.layers):
-        assert same_bytes(lean.masked[l], full.masked[l])
-        assert same_bytes(full.masked[l], old.masked[l])
-        assert same_bytes(full.dense[l], old.dense[l])
-        assert same_bytes(full.masked[l], full.dense[l] * layer.mask)
-        assert same_bytes(lean.bias[l], old.bias[l])
+        assert same_bytes(grads.weights[l], old.dense[l])
+        assert same_bytes(grads.weights[l] * layer.mask, old.masked[l])
+        assert same_bytes(grads.bias[l], old.bias[l])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mu", [None, 0.5])
+def test_nonfinite_inactive_gradient_never_reaches_weights(bad, mu):
+    rng = np.random.default_rng(3)
+    dims = [7, 5, 3]
+    net = random_net(rng, dims, 0.4)
+    anchor = random_net(rng, dims, 0.4)
+    prox = None if mu is None else (mu, anchor)
+    vel = None
+    for _ in range(3):
+        _, cache = forward(net, rng.normal(size=(4, dims[0])))
+        grads = backward(net, cache, rng.integers(0, dims[-1], size=4))
+        for g, layer in zip(grads.weights, net.layers):
+            g[~layer.mask] = bad
+        vel = sgd_step(net, grads, 0.1, 0.9, vel, prox)
+        for layer in net.layers:
+            off = layer.weights[~layer.mask]
+            assert off.size
+            assert off.tobytes() == np.zeros_like(off).tobytes()
+            assert np.all(np.isfinite(layer.weights))
+        net.validate()

@@ -5,6 +5,7 @@ import pytest
 
 from dsffs.sparse_net import (
     ConfigError,
+    Gradients,
     backward,
     forward,
     init_er_topology,
@@ -101,26 +102,37 @@ class TestForward:
 
 
 class TestBackward:
-    def test_masked_equals_dense_times_mask(self, rng):
+    def test_step_uses_gradient_times_mask(self, rng):
+        # the step sees the gradient only at live positions: the dense
+        # gradient and the masked one give the same bytes, and inactive
+        # weights stay +0.0
         net = init_er_topology([10, 8, 4], 0.6, seed=5)
+        other = net.copy()
         X = rng.normal(size=(7, 10))
         y = rng.integers(0, 4, size=7)
         _, cache = forward(net, X)
-        g = backward(net, cache, y, dense=True)
-        for l, layer in enumerate(net.layers):
-            assert np.array_equal(g.masked[l], g.dense[l] * layer.mask)
-            assert np.all(g.masked[l][~layer.mask] == 0.0)
+        g = backward(net, cache, y)
+        masked = Gradients([w * layer.mask for w, layer in zip(g.weights, net.layers)],
+                           [b.copy() for b in g.bias])
+        vel = sgd_step(net, g, lr=0.1, momentum=0.9)
+        other_vel = sgd_step(other, masked, lr=0.1, momentum=0.9)
+        for layer, other_layer, (_, vw, _), (_, other_vw, _) in zip(
+                net.layers, other.layers, vel, other_vel):
+            assert layer.weights.tobytes() == other_layer.weights.tobytes()
+            assert vw.tobytes() == other_vw.tobytes()
+            assert not np.any(np.signbit(layer.weights[~layer.mask]))
+        net.validate()
 
     def test_mean_gradient_invariant_under_duplication(self, rng):
         net = init_er_topology([6, 5, 3], 0.5, seed=2)
         X = rng.normal(size=(4, 6))
         y = rng.integers(0, 3, size=4)
         _, cache = forward(net, X)
-        g1 = backward(net, cache, y, dense=True)
+        g1 = backward(net, cache, y)
         X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
         _, cache2 = forward(net, X2)
-        g2 = backward(net, cache2, y2, dense=True)
-        for a, b in zip(g1.dense, g2.dense):
+        g2 = backward(net, cache2, y2)
+        for a, b in zip(g1.weights, g2.weights):
             assert np.allclose(a, b, atol=1e-14)
 
     def test_stale_cache_rejected(self, rng):
@@ -148,7 +160,7 @@ class TestBackward:
         g = backward(net, cache, y)
         fd_w, fd_b = fd_weight_gradients(net, X, y)
         for l, layer in enumerate(net.layers):
-            assert max_rel_err(g.masked[l][layer.mask], fd_w[l][layer.mask]) < 1e-4
+            assert max_rel_err(g.weights[l][layer.mask], fd_w[l][layer.mask]) < 1e-4
             assert max_rel_err(g.bias[l], fd_b[l]) < 1e-4
 
 
@@ -159,7 +171,7 @@ class TestSgdStep:
         X = rng.normal(size=(2, 5))
         _, cache = forward(net, X)
         g = backward(net, cache, np.zeros(2, dtype=int))
-        for m in g.masked:
+        for m in g.weights:
             m[:] = 0.0
         for b in g.bias:
             b[:] = 0.0
@@ -171,7 +183,7 @@ class TestSgdStep:
         net = build_net([[[1.0]]])
         _, cache = forward(net, np.array([[1.0]]))
         g = backward(net, cache, np.array([0]))
-        g.masked[0][0, 0] = 0.5
+        g.weights[0][0, 0] = 0.5
         g.bias[0][:] = 0.0
         sgd_step(net, g, lr=0.1, momentum=0.0)
         assert net.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
@@ -196,7 +208,7 @@ class TestSgdStep:
         y = rng.integers(0, 2, size=4)
         _, cache = forward(net, X)
         g = backward(net, cache, y)
-        for m in g.masked:
+        for m in g.weights:
             m[:] = 0.0
         for b in g.bias:
             b[:] = 0.0
