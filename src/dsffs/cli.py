@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -39,12 +40,15 @@ EXIT_RUNTIME = 3
 
 
 @dataclass
-class ExperimentConfig:
-    """Declarative description of one run; defaults follow the standard setup."""
+class ExperimentConfig(FedConfig):
+    """One run: FedConfig's training keys plus the data and output keys.
 
-    # dataset
+    Every key is declared once, here or on FedConfig, and `load_config`
+    parses it by its field type. Defaults follow the standard setup.
+    """
+
     dataset: str = "synthetic"          # synthetic | csv | idx | libsvm
-    path: str | None = None
+    path: str | None = None             # idx: "images_path,labels_path"
     label_column: str | None = None
     n_features: int | None = None       # libsvm width override
     n_informative: int = 20
@@ -54,84 +58,56 @@ class ExperimentConfig:
     separation: float = 1.0
     normalize: str = "minmax"           # minmax | zscore | none
     test_fraction: float = 0.2
-    # model / training
-    hidden_dims: list[int] = field(default_factory=lambda: [200, 200])
-    sparsity: float = 0.8
-    k_features: int = 150
-    zeta: float = 0.2
-    beta: float = 0.65
-    rounds: int = 400
-    local_epochs: int = 10
-    clients: int = 10
-    clients_per_round: int | None = None
     dirichlet_alpha: float = 0.5
-    lr: float = 0.1
-    momentum: float = 0.9
-    mu: float = 0.0
-    adjust_rate: float = 0.05
-    adjust_every: int = 10
-    batch_size: int = 32
-    seed: int = 1
-    feature_selection: bool = True
-    workers: int | None = None
     out_dir: str = "runs/out"
 
-    def fed_config(self) -> FedConfig:
-        return FedConfig(
-            hidden_dims=list(self.hidden_dims),
-            n_clients=self.clients,
-            clients_per_round=self.clients_per_round,
-            local_epochs=self.local_epochs,
-            rounds=self.rounds,
-            sparsity=self.sparsity,
-            k_features=self.k_features,
-            zeta=self.zeta,
-            beta=self.beta,
-            mu=self.mu,
-            adjust_every=self.adjust_every,
-            adjust_rate=self.adjust_rate,
-            lr=self.lr,
-            momentum=self.momentum,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            workers=self.workers,
-            feature_selection=self.feature_selection,
-        )
+
+def _number(name: str, value, integer: bool):
+    """A finite YAML number, or a string float() reads ("1e-05" is one)."""
+    what = "an integer" if integer else "a number"
+    wrong = ConfigError(f"config key {name!r} must be {what}")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise wrong
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise wrong from None
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {name!r} must be finite, got {number}")
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise wrong
+    return value if isinstance(value, int) else int(number)
 
 
-_INT_OR_NONE = {"clients_per_round", "workers", "n_features"}
-_STR_OR_NONE = {"path", "label_column"}
-
-
-def _coerce(name: str, value, target):
+def _coerce(name: str, value, kind: str):
+    """Parse one value by its field's annotation, e.g. "int | None"."""
     if value is None:
-        if name in _INT_OR_NONE or name in _STR_OR_NONE:
+        if kind.endswith(" | None"):
             return None
         raise ConfigError(f"config key {name!r} may not be null")
-    if target is bool:
+    kind = kind.removesuffix(" | None")
+    if kind == "bool":
         if isinstance(value, bool):
             return value
         raise ConfigError(f"config key {name!r} must be true or false")
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {name!r} must be an integer")
-        if float(value) != int(value):
-            raise ConfigError(f"config key {name!r} must be an integer")
-        return int(value)
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {name!r} must be a number")
-        return float(value)
-    if target is list:
+    if kind in ("int", "float"):
+        return _number(name, value, kind == "int")
+    if kind == "list[int]":
         if isinstance(value, str):
             value = [v for v in value.replace(",", " ").split() if v]
         if not isinstance(value, list) or not value:
             raise ConfigError(f"config key {name!r} must be a non-empty list")
         try:
             return [int(v) for v in value]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config key {name!r} must hold integers") from None
     return str(value)
+
+
+# annotations are strings (postponed evaluation in this module and fed_core)
+_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -151,25 +127,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
     for key, value in raw.items():
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if key == "hidden_dims":
-            setattr(cfg, key, _coerce(key, value, list))
-        elif isinstance(current, bool):
-            setattr(cfg, key, _coerce(key, value, bool))
-        elif key in _INT_OR_NONE:
-            setattr(cfg, key, None if value is None else _coerce(key, value, int))
-        elif key in _STR_OR_NONE:
-            setattr(cfg, key, None if value is None else str(value))
-        elif isinstance(current, int):
-            setattr(cfg, key, _coerce(key, value, int))
-        elif isinstance(current, float):
-            setattr(cfg, key, _coerce(key, value, float))
-        else:
-            setattr(cfg, key, _coerce(key, value, str))
+        setattr(cfg, key, _coerce(key, value, _KINDS[key]))
 
     env_seed = os.environ.get("DSFFS_SEED")
     if env_seed is not None:
@@ -187,27 +148,28 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.dataset != "synthetic":
         if not cfg.path:
             raise ConfigError(f"dataset {cfg.dataset!r} requires a path")
-        for part in str(cfg.path).split(","):
+        # only idx names two files; a comma in any other path is part of it
+        paths = cfg.path.split(",") if cfg.dataset == "idx" else [cfg.path]
+        for part in paths:
             if not os.path.exists(part.strip()):
                 raise ConfigError(f"dataset file not found: {part.strip()}")
     if cfg.normalize not in ("minmax", "zscore", "none"):
         raise ConfigError(f"unknown normalize mode {cfg.normalize!r}")
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
-    cfg.fed_config().validate()
+    cfg.validate()
 
 
 def resolved_lines(cfg: ExperimentConfig) -> str:
     parts = []
-    for f in sorted(fields(ExperimentConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
+    for name, value in sorted(asdict(cfg).items()):
         if isinstance(value, list):
             value = "[" + ", ".join(str(v) for v in value) + "]"
         elif value is None:
             value = "null"
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        parts.append(f"{f.name}: {value}")
+        parts.append(f"{name}: {value}")
     return "\n".join(parts) + "\n"
 
 
@@ -249,7 +211,7 @@ def write_metrics_csv(path: str, metrics: list[RoundMetrics]) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, {"workers": args.workers, "out_dir": args.out})
     parts = prepare(cfg)
-    server, metrics, selection = run_training(cfg.fed_config(), parts)
+    server, metrics, selection = run_training(cfg, parts)
 
     # written only once training returned: a failed run leaves no directory
     write_resolved_config(cfg)
@@ -260,7 +222,7 @@ def cmd_run(args) -> int:
         "k_requested": selection.requested,
         "shortfall": selection.shortfall,
         "seed": cfg.seed,
-        "config": {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)},
+        "config": asdict(cfg),
     }
     with open(os.path.join(cfg.out_dir, "selected_features.json"), "w",
               encoding="utf-8", newline="\n") as fh:
@@ -293,13 +255,9 @@ def cmd_figure1(args) -> int:
                        meta=dict(ds.meta))
 
     def run_one(dataset: Dataset, fs: bool):
-        sub = ExperimentConfig(**{f.name: getattr(cfg, f.name)
-                                  for f in fields(ExperimentConfig)})
-        sub.feature_selection = fs
-        fed = sub.fed_config()
-        fed.k_features = min(fed.k_features, dataset.d)
-        parts = prepare(sub, dataset)
-        return run_training(fed, parts)
+        sub = replace(cfg, feature_selection=fs,
+                      k_features=min(cfg.k_features, dataset.d))
+        return run_training(sub, prepare(sub, dataset))
 
     log.info("figure1: training on informative features only (no selection)")
     _, m_orig, _ = run_one(original, fs=False)

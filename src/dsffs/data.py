@@ -252,7 +252,7 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int):
 
 
 def partition_noniid(ds: Dataset, m: int, alpha: float, seed: int,
-                     test_fraction: float = 0.2, test_idx=None) -> PartitionedDataset:
+                     test_fraction: float = 0.2) -> PartitionedDataset:
     """Dirichlet label-skew partition of the train split into m shards.
 
     Per class, shard proportions are drawn from Dirichlet(alpha); lower
@@ -263,13 +263,7 @@ def partition_noniid(ds: Dataset, m: int, alpha: float, seed: int,
         raise ConfigError("a federation needs at least two clients")
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    if test_idx is not None:
-        test = np.asarray(test_idx, dtype=int)
-        mask = np.ones(ds.n, dtype=bool)
-        mask[test] = False
-        train = np.nonzero(mask)[0]
-    else:
-        train, test = stratified_split(ds, test_fraction, seed)
+    train, test = stratified_split(ds, test_fraction, seed)
     if m > len(train):
         raise ConfigError(f"{m} clients but only {len(train)} training samples")
 

@@ -57,7 +57,7 @@ class FedConfig:
     """Everything the orchestrator needs besides the data itself."""
 
     hidden_dims: list[int] = field(default_factory=lambda: [200, 200])
-    n_clients: int = 10
+    clients: int = 10
     clients_per_round: int | None = None   # None = all clients every round
     local_epochs: int = 10
     rounds: int = 400
@@ -71,17 +71,17 @@ class FedConfig:
     lr: float = 0.1
     momentum: float = 0.9
     batch_size: int = 32
-    seed: int = 0
+    seed: int = 1
     workers: int | None = None
     feature_selection: bool = True
 
     def validate(self) -> None:
-        if self.n_clients < 2:
+        if self.clients < 2:
             raise ConfigError("a federation needs at least two clients")
         cpr = self.clients_per_round
-        if cpr is not None and not 1 <= cpr <= self.n_clients:
+        if cpr is not None and not 1 <= cpr <= self.clients:
             raise ConfigError(
-                f"clients_per_round must be in 1..{self.n_clients}, got {cpr}"
+                f"clients_per_round must be in 1..{self.clients}, got {cpr}"
             )
         if self.local_epochs < 0:
             raise ConfigError("local_epochs cannot be negative")
@@ -111,8 +111,6 @@ class FedConfig:
 
 @dataclass
 class ClientState:
-    id: int
-    shard: np.ndarray           # index set into the shared dataset
     n_samples: int
     X: np.ndarray
     y: np.ndarray
@@ -329,9 +327,9 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     id order, so results do not depend on scheduling.
     """
     config.validate()
-    if data.n_clients != config.n_clients:
+    if data.n_clients != config.clients:
         raise ConfigError(
-            f"config says {config.n_clients} clients but data has {data.n_clients} shards"
+            f"config says {config.clients} clients but data has {data.n_clients} shards"
         )
     for m, shard in enumerate(data.shards):
         if len(shard) == 0:
@@ -350,27 +348,25 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     schedule = InputSchedule(ds.d, k, config.zeta, config.beta, config.rounds)
     server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
 
-    clients = []
-    for m, shard in enumerate(data.shards):
-        X, y = data.shard_xy(m)
-        clients.append(ClientState(m, shard, len(shard), X, y))
+    clients = [ClientState(len(shard), *data.shard_xy(m))
+               for m, shard in enumerate(data.shards)]
 
     recorder = MetricsRecorder(data.test_xy(), config.batch_size, config.local_epochs)
     metrics: list[RoundMetrics] = []
-    workers = config.workers or config.n_clients
+    workers = config.workers or config.clients
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     try:
         for r in range(1, config.rounds + 1):
             counts = compute_schedule(schedule, r) if config.feature_selection else None
 
-            if config.clients_per_round is None or config.clients_per_round == config.n_clients:
-                selected = list(range(config.n_clients))
+            if config.clients_per_round is None or config.clients_per_round == config.clients:
+                selected = list(range(config.clients))
             else:
                 pick_rng = np.random.default_rng([config.seed, r, 0xC11])
                 selected = sorted(
                     int(i) for i in pick_rng.choice(
-                        config.n_clients, size=config.clients_per_round, replace=False
+                        config.clients, size=config.clients_per_round, replace=False
                     )
                 )
 

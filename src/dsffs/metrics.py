@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .sparse_net import SparseNetwork, forward
 
 
@@ -42,11 +41,11 @@ class RoundMetrics:
 
 
 def accuracy(net: SparseNetwork, test, batch_size: int = 4096) -> float:
-    """Fraction of argmax-correct predictions (ties go to the lowest class)."""
-    if isinstance(test, Dataset):
-        X, y = test.X, test.y
-    else:
-        X, y = test
+    """Fraction of argmax-correct predictions on an (X, y) pair.
+
+    Ties go to the lowest class.
+    """
+    X, y = test
     if len(y) == 0:
         raise ValueError("test set is empty")
     correct = 0

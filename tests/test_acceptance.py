@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,16 +41,15 @@ def crit6_config(seed: int, fs: bool, k: int = 30) -> ExperimentConfig:
 
 
 def run_cfg(cfg: ExperimentConfig, ds: Dataset):
-    fed = cfg.fed_config()
-    fed.k_features = min(fed.k_features, ds.d)
-    return run_training(fed, prepare(cfg, ds))
+    return run_training(replace(cfg, k_features=min(cfg.k_features, ds.d)),
+                        prepare(cfg, ds))
 
 
 def test_criterion_1_sparsity_conservation():
     start = time.time()
     ds = generate_synthetic(10, 50, 400, 3, seed=2)
     parts = partition_noniid(ds, 4, 0.5, seed=2)
-    cfg = FedConfig(hidden_dims=[16, 8], n_clients=4, rounds=20, local_epochs=2,
+    cfg = FedConfig(hidden_dims=[16, 8], clients=4, rounds=20, local_epochs=2,
                     sparsity=0.6, k_features=12, seed=2, batch_size=16, lr=0.02)
     server, metrics, _ = run_training(cfg, parts)
     targets = server.global_model.nnz_targets
@@ -288,8 +288,7 @@ def test_criterion_9_fedprox_reduces_drift():
         for mu in (0.0, 1.0):
             cfg = crit6_config(seed, fs=True)
             cfg.mu = mu
-            fed = cfg.fed_config()
-            server, _, _ = run_training(fed, prepare(cfg, ds))
+            server, _, _ = run_training(cfg, prepare(cfg, ds))
             drifts[mu].append(float(np.mean(server.drift_history)))
     med0 = float(np.median(drifts[0.0]))
     med1 = float(np.median(drifts[1.0]))

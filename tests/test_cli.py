@@ -1,7 +1,9 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
+import yaml
 
 from dsffs.cli import (
     EXIT_CONFIG,
@@ -13,6 +15,8 @@ from dsffs.cli import (
     resolved_lines,
 )
 from dsffs.sparse_net import ConfigError
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 TINY = """\
 dataset: synthetic
@@ -67,6 +71,62 @@ class TestConfigParsing:
         monkeypatch.setenv("DSFFS_SEED", "777")
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.seed == 777
+
+    @pytest.mark.parametrize("line", [
+        "rounds: .inf", "mu: .nan", "dirichlet_alpha: .nan", "lr: -.inf",
+        "k_features: .nan", "workers: .inf", "n_features: -.inf", "lr: nan",
+        "sparsity: inf", "separation: 1e400",
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, line):
+        key = line.split(":")[0]
+        p = write_cfg(tmp_path, TINY + line + "\n")
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_number_written_without_a_dot(self, tmp_path):
+        # YAML reads 1e-5 as a string; float() reads it as a number
+        cfg = load_config(write_cfg(tmp_path, TINY + "lr: 1e-5\nrounds: '3'\n"))
+        assert cfg.lr == 1e-5 and cfg.rounds == 3
+        p = write_cfg(tmp_path, TINY + "lr: 1e-5x\n")
+        with pytest.raises(ConfigError, match="'lr' must be a number"):
+            load_config(p)
+
+    @pytest.mark.parametrize("source", CONFIGS + ["lr: 1e-5"],
+                             ids=lambda s: getattr(s, "name", s))
+    def test_resolved_config_loads_back(self, tmp_path, monkeypatch, source):
+        monkeypatch.delenv("DSFFS_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        if isinstance(source, Path):
+            p = str(source)
+            path = yaml.safe_load(source.read_text(encoding="utf-8")).get("path")
+            # stub the dataset files the path check looks for
+            for part in path.split(",") if path else []:
+                (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / part).touch()
+        else:
+            p = write_cfg(tmp_path, TINY + source + "\n")
+        cfg = load_config(p)
+        again = load_config(write_cfg(tmp_path, resolved_lines(cfg), "config.resolved"))
+        assert again == cfg
+        assert resolved_lines(again) == resolved_lines(cfg)
+
+    def test_comma_in_csv_path(self, tmp_path):
+        data = tmp_path / "toy,v2.csv"
+        data.write_text("a,label\n1,0\n2,1\n")
+        p = write_cfg(tmp_path, TINY.replace(
+            "dataset: synthetic", f"dataset: csv\npath: '{data}'"))
+        assert load_config(p).path == str(data)
+
+    def test_idx_path_names_two_files(self, tmp_path):
+        images = tmp_path / "images.gz"
+        images.write_bytes(b"")
+        p = write_cfg(tmp_path, TINY.replace(
+            "dataset: synthetic", f"dataset: idx\npath: {images},{tmp_path}/labels.gz"))
+        with pytest.raises(ConfigError, match="labels.gz"):
+            load_config(p)
 
     def test_resolved_lines_cover_every_key(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))

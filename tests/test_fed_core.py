@@ -95,7 +95,7 @@ def make_server(dims, sparsity, seed, rounds=10, k=2, zeta=0.2, beta=0.5):
 
 class TestResparsify:
     def config(self, **kw):
-        base = dict(hidden_dims=[4], n_clients=2, rounds=10, sparsity=0.5,
+        base = dict(hidden_dims=[4], clients=2, rounds=10, sparsity=0.5,
                     k_features=2, seed=0)
         base.update(kw)
         return FedConfig(**base)
@@ -212,7 +212,7 @@ def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
 
 class TestLocalTrain:
     def cfg(self, **kw):
-        base = dict(hidden_dims=[5], n_clients=2, rounds=4, sparsity=0.5,
+        base = dict(hidden_dims=[5], clients=2, rounds=4, sparsity=0.5,
                     k_features=2, local_epochs=2, batch_size=4, seed=0,
                     lr=0.05, zeta=0.2, beta=0.5)
         base.update(kw)
@@ -225,7 +225,7 @@ class TestLocalTrain:
         sched = InputSchedule(ds.d, config.k_features, config.zeta,
                               config.beta, config.rounds)
         X, y = parts.shard_xy(0)
-        client = ClientState(0, parts.shards[0], len(parts.shards[0]), X, y)
+        client = ClientState(len(y), X, y)
         return net, sched, client
 
     def test_zero_epochs_returns_model_unchanged(self):
@@ -280,7 +280,7 @@ class TestLocalTrain:
 
 class TestRunTraining:
     def cfg(self, **kw):
-        base = dict(hidden_dims=[8], n_clients=2, rounds=1, sparsity=0.5,
+        base = dict(hidden_dims=[8], clients=2, rounds=1, sparsity=0.5,
                     k_features=3, local_epochs=1, batch_size=8, seed=1,
                     lr=0.05, zeta=0.2, beta=0.5)
         base.update(kw)
@@ -304,8 +304,8 @@ class TestRunTraining:
 
     def test_workers_do_not_change_results(self):
         parts = tiny_partition(m=4)
-        a = run_training(self.cfg(n_clients=4, rounds=2, workers=1), parts)
-        b = run_training(self.cfg(n_clients=4, rounds=2, workers=4), parts)
+        a = run_training(self.cfg(clients=4, rounds=2, workers=1), parts)
+        b = run_training(self.cfg(clients=4, rounds=2, workers=4), parts)
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
 
@@ -321,7 +321,7 @@ class TestRunTraining:
         outs = []
         for m in range(2):
             X, y = parts.shard_xy(m)
-            client = ClientState(m, parts.shards[m], len(parts.shards[m]), X, y)
+            client = ClientState(len(y), X, y)
             outs.append(local_train(client, net, sched, 1, cfg, np.zeros(6, dtype=bool)))
         agg = aggregate([(12, outs[0]), (12, outs[1])])
         for lo, la in zip(outs[0].layers, agg.layers):
@@ -336,11 +336,11 @@ class TestRunTraining:
 
     def test_single_client_rejected(self):
         with pytest.raises(ConfigError, match="two clients"):
-            FedConfig(n_clients=1).validate()
+            FedConfig(clients=1).validate()
 
     def test_client_subsampling(self):
         parts = tiny_partition(m=4)
-        cfg = self.cfg(n_clients=4, clients_per_round=2, rounds=3)
+        cfg = self.cfg(clients=4, clients_per_round=2, rounds=3)
         server, metrics, _ = run_training(cfg, parts)
         assert len(metrics) == 3
         assert metrics[-1].global_nnz == sum(server.global_model.nnz_targets)
