@@ -99,10 +99,7 @@ def _coerce(name: str, value, kind: str):
             value = [v for v in value.replace(",", " ").split() if v]
         if not isinstance(value, list) or not value:
             raise ConfigError(f"config key {name!r} must be a non-empty list")
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config key {name!r} must hold integers") from None
+        return [_number(name, v, integer=True) for v in value]
     return str(value)
 
 

@@ -1,8 +1,11 @@
-"""Hidden-layer topology dynamics: magnitude pruning + gradient regrowth.
+"""Connection churn for every layer: magnitude pruning + gradient regrowth.
 
 Each update is a paired prune/regrow that swaps the weakest live
 connections for the inactive positions with the largest gradient
-magnitude, keeping every layer at its fixed connection count.
+magnitude, keeping every layer at its fixed connection count. The hidden
+layers, plain-DST layer 0 and the input layer under feature selection all
+churn through `prune_layer_by_magnitude` and `regrow_layer_by_gradient`;
+feature selection adds only its neuron stage (`input_selector`).
 
 Every topology pick in the package goes through `smallest` or
 `smallest_sparing_last`: exactly min(k, n) picks, NaN and inf included;
@@ -131,40 +134,38 @@ def grow(layer, l: int, flat: np.ndarray, delta: TopologyDelta) -> None:
 
 
 def prune_layer_by_magnitude(net: SparseNetwork, l: int, count: int,
-                             delta: TopologyDelta,
-                             protect_columns: bool = True) -> None:
+                             delta: TopologyDelta, axis: int = 0) -> None:
     """Mask off the `count` weakest live connections of layer `l`.
 
-    Candidates are taken in ascending (|weight|, row, col). With
-    `protect_columns`, a column's last connection in that order is spared
-    unless the quota cannot be met otherwise (see the module docstring).
+    Candidates are taken in ascending (|weight|, row, col). The last
+    connection of each column (axis=0) or row (axis=1) in that order is
+    spared unless the quota cannot be met otherwise (see the module
+    docstring).
     """
-    layer = net.layers[l]
     if count <= 0:
         return
-    mags = np.abs(layer.weights)
-    if protect_columns:
-        pick = smallest_sparing_last(mags, layer.mask, count, axis=0)
-    else:
-        live = np.flatnonzero(layer.mask)
-        pick = live[smallest(np.take(mags, live), count)]
-    cut(layer, l, pick, delta)
+    layer = net.layers[l]
+    cut(layer, l, smallest_sparing_last(np.abs(layer.weights), layer.mask, count, axis), delta)
 
 
 def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
-                             delta: TopologyDelta) -> None:
+                             delta: TopologyDelta, rows: np.ndarray | None = None) -> None:
     """Activate inactive positions of layer `l` with the largest |gradient|.
 
     Enough positions are regrown to bring the layer back to its connection
     target (normally exactly the number just pruned), in descending
     (|gradient|, then ascending row, col). Positions pruned in this same
-    update are ineligible; new connections start at weight zero.
+    update are ineligible, and so are rows outside the boolean `rows`
+    mask when one is given; new connections start at weight zero.
     """
     layer = net.layers[l]
     need = net.nnz_targets[l] - layer.nnz()
     if need <= 0:
         return
-    cand = np.flatnonzero(~layer.mask & ~delta.pruned_mask(l, layer.mask.shape))
+    eligible = ~layer.mask & ~delta.pruned_mask(l, layer.mask.shape)
+    if rows is not None:
+        eligible &= rows[:, None]
+    cand = np.flatnonzero(eligible)
     if len(cand) < need:
         warnings.warn(
             f"layer {l}: only {len(cand)} positions available to regrow "
@@ -174,15 +175,18 @@ def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
     grow(layer, l, cand[smallest(-np.abs(np.take(dense_grad, cand)), need)], delta)
 
 
-def churn_count(net: SparseNetwork, l: int, fraction: float) -> int:
+def churn_count(net: SparseNetwork, l: int, fraction: float,
+                rows: np.ndarray | None = None) -> int:
     """Connections layer `l` can prune and still regrow back to target.
 
     floor(fraction * nnz), capped by the inactive headroom against the
     layer target so the paired regrowth always has enough candidate
-    positions (zero for a dense layer, which has nowhere to grow).
+    positions (zero for a dense layer, which has nowhere to grow). With a
+    boolean `rows` mask, only those rows count as room to regrow.
     """
     layer = net.layers[l]
-    headroom = layer.rows * layer.cols - net.nnz_targets[l]
+    n_rows = layer.rows if rows is None else int(np.count_nonzero(rows))
+    headroom = n_rows * layer.cols - net.nnz_targets[l]
     return max(0, min(int(fraction * layer.nnz()), headroom))
 
 

@@ -28,7 +28,6 @@ from .dst_update import (
     smallest,
 )
 from .input_selector import (
-    InputLayerState,
     InputSchedule,
     ScheduleCounts,
     SelectionResult,
@@ -142,8 +141,7 @@ def local_train(client: ClientState, global_net: SparseNetwork,
     net = global_net.copy()
     if config.local_epochs == 0:
         return net
-    if config.feature_selection:
-        state = InputLayerState.from_layer(net.layers[0], permanently_removed=global_removed)
+    removed = global_removed.copy()
 
     counts_round = (
         compute_schedule(sched, r) if config.feature_selection else ScheduleCounts(0, 0, 0)
@@ -177,8 +175,8 @@ def local_train(client: ClientState, global_net: SparseNetwork,
 
         if config.feature_selection:
             counts = counts_round if q == 1 else counts_round.churn()
-            update = prune_input(net, state, counts, config.zeta)
-            regrow_input(net, state, counts, grads.weights[0], update)
+            update = prune_input(net, removed, counts, config.zeta)
+            regrow_input(net, removed, counts, grads.weights[0], update)
         elif config.zeta > 0.0:
             # plain dynamic sparse training on the input layer too
             delta0 = TopologyDelta()
@@ -404,8 +402,5 @@ def run_training(config: FedConfig, data: PartitionedDataset):
         if pool is not None:
             pool.shutdown()
 
-    final_state = InputLayerState.from_layer(
-        server.global_model.layers[0], permanently_removed=server.global_removed
-    )
-    selection: SelectionResult = select_features(server.global_model, final_state, k)
+    selection: SelectionResult = select_features(server.global_model, k)
     return server, metrics, selection

@@ -3,9 +3,10 @@
 An input neuron's strength is the L1 norm of its live weights; weak
 neurons are progressively disconnected on a round-indexed schedule until
 only a reduced pool remains, from which the top-K strongest are reported
-as the selected features. Within each update the input layer also churns
-connections (magnitude prune, gradient regrow) like the hidden layers,
-conserving its connection count.
+as the selected features. Only this neuron stage is specific to the input
+layer: within each update its connections churn through the same
+`dst_update` prune and regrow as every other layer, which conserves its
+connection count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dst_update import TopologyDelta, cut, grow, smallest, smallest_sparing_last
+from .dst_update import (
+    TopologyDelta,
+    churn_count,
+    cut,
+    grow,
+    prune_layer_by_magnitude,
+    regrow_layer_by_gradient,
+    smallest,
+)
 from .sparse_net import SparseLayer, SparseNetwork
 
 
@@ -54,7 +63,9 @@ class InputSchedule:
             raise ValueError(f"zeta must be in [0, 1), got {self.zeta}")
         if self.r_max < 1:
             raise ValueError("r_max must be at least 1")
-        self.r_remove = _ceil(self.beta * self.r_max)
+        # at least round 1, or a beta * r_max that rounds to 0 would
+        # leave no round to remove the budget in
+        self.r_remove = max(1, _ceil(self.beta * self.r_max))
         self.T = max(0, _ceil((1.0 - self.zeta) * self.D - self.K))
 
     @property
@@ -108,36 +119,6 @@ def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
     return ScheduleCounts(n_p, n_remove, n_g)
 
 
-@dataclass
-class InputLayerState:
-    """Connectivity bookkeeping for the input layer of one network.
-
-    `connected[i]` mirrors whether mask row i has any live entry;
-    `permanently_removed` marks neurons excluded from regrowth for good;
-    `strengths` holds the row strengths as of the last `refresh` (training
-    moves the weights, so a prune refreshes them first).
-    """
-
-    connected: np.ndarray
-    permanently_removed: np.ndarray
-    strengths: np.ndarray
-
-    @classmethod
-    def from_layer(cls, layer: SparseLayer, permanently_removed=None) -> "InputLayerState":
-        removed = (
-            np.zeros(layer.rows, dtype=bool)
-            if permanently_removed is None
-            else np.asarray(permanently_removed, dtype=bool).copy()
-        )
-        state = cls(np.zeros(layer.rows, dtype=bool), removed, np.zeros(layer.rows))
-        state.refresh(layer)
-        return state
-
-    def refresh(self, layer: SparseLayer) -> None:
-        self.connected = layer.mask.any(axis=1)
-        self.strengths = row_strengths(layer)
-
-
 def row_strengths(layer: SparseLayer) -> np.ndarray:
     """L1 norm of each input row's live weights (off-mask weights are 0)."""
     return np.abs(layer.weights).sum(axis=1)
@@ -152,24 +133,26 @@ class InputUpdate:
     pruned_neurons: list[int]
 
 
-def prune_input(net: SparseNetwork, state: InputLayerState,
+def prune_input(net: SparseNetwork, removed: np.ndarray,
                 counts: ScheduleCounts, zeta: float) -> InputUpdate:
-    """Disconnect the weakest input neurons, then the weakest connections.
+    """Disconnect the weakest input neurons, then churn the connections.
 
-    First the counts.n_p connected, non-removed neurons with the lowest
-    strength lose all their connections (ties toward the lowest index).
-    Then floor(zeta * remaining) live input connections of smallest
-    |weight| are dropped; a row's last connection is spared where possible
-    so neuron connectivity stays exactly the neuron-level accounting.
-    Both stages are partial selections with the contract of
-    `dst_update.smallest` and `dst_update.smallest_sparing_last` (axis=1):
-    exact counts, (score, row, col) order, O(n) plus O(k log k).
+    First the counts.n_p connected neurons not in the boolean `removed`
+    row mask with the lowest strength lose all their connections (ties
+    toward the lowest index; a partial selection with the contract of
+    `dst_update.smallest`). Then the connection stage is the one every
+    layer runs, `dst_update.prune_layer_by_magnitude` with axis=1: it
+    drops floor(zeta * remaining) live connections of smallest |weight|,
+    capped by the headroom of the still-connected rows so the paired
+    regrowth can restore the count, and spares a row's last connection
+    where possible so neuron connectivity stays exactly the neuron-level
+    accounting.
     """
     layer = net.layers[0]
-    state.refresh(layer)
     delta = TopologyDelta()
 
-    prunable = np.flatnonzero(state.connected & ~state.permanently_removed)
+    connected = layer.mask.any(axis=1)
+    prunable = np.flatnonzero(connected & ~removed)
     n_p = counts.n_p
     if n_p > len(prunable):
         warnings.warn(
@@ -177,40 +160,32 @@ def prune_input(net: SparseNetwork, state: InputLayerState,
             "are prunable; pruning all of them",
             RuntimeWarning,
         )
-    victims = prunable[smallest(state.strengths[prunable], n_p, ordered=True)]
+    victims = prunable[smallest(row_strengths(layer)[prunable], n_p, ordered=True)]
     rows, cols = np.nonzero(layer.mask[victims])
     cut(layer, 0, victims[rows] * layer.cols + cols, delta)
-    state.connected[victims] = False
+    connected[victims] = False
 
-    if zeta > 0.0:
-        # cap by the headroom of still-connected rows against the layer
-        # target so the paired regrowth can always restore the count
-        capacity = int(np.count_nonzero(state.connected)) * layer.cols
-        k = min(int(zeta * layer.nnz()), max(0, capacity - net.nnz_targets[0]))
-        if k > 0:
-            cut(layer, 0, smallest_sparing_last(np.abs(layer.weights), layer.mask, k, axis=1),
-                delta)
-            state.connected = layer.mask.any(axis=1)
-
+    prune_layer_by_magnitude(net, 0, churn_count(net, 0, zeta, connected), delta, axis=1)
     net.touch()
     return InputUpdate(delta, victims.tolist())
 
 
-def regrow_input(net: SparseNetwork, state: InputLayerState,
+def regrow_input(net: SparseNetwork, removed: np.ndarray,
                  counts: ScheduleCounts, input_dense_grad: np.ndarray,
                  update: InputUpdate) -> InputUpdate:
     """Reconnect neurons and connections after prune_input().
 
-    The counts.n_remove lowest-strength neurons pruned this update become
-    permanently removed. Among the remaining disconnected, non-removed
-    neurons, the counts.n_g with the largest row-max |gradient| are
-    reconnected through their single best inactive position (weight 0).
-    Finally inactive positions on connected rows are activated in
-    descending |gradient| until the layer is back at its connection
-    target. Connection top-up never reuses a position pruned in this same
-    update; neuron reconnection may (the whole row was just cleared, and
-    the single strongest position wins regardless of its history). Both
-    picks are `dst_update.smallest` on negated scores.
+    The counts.n_remove lowest-strength neurons pruned this update are
+    marked in the boolean `removed` row mask, for good. Among the
+    remaining disconnected neurons not in `removed`, the counts.n_g with
+    the largest row-max |gradient| are reconnected through their single
+    best inactive position (weight 0), picked by `dst_update.smallest` on
+    negated scores. Finally the connections are topped up on connected
+    rows back to the layer target by the regrow every layer runs,
+    `dst_update.regrow_layer_by_gradient`, which never reuses a position
+    pruned in this same update; neuron reconnection may (the whole row was
+    just cleared, and the single strongest position wins regardless of
+    its history).
     """
     layer = net.layers[0]
     delta = update.delta
@@ -221,10 +196,11 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
             f"only {n_rm} of {counts.n_remove} neuron removals realized this update",
             RuntimeWarning,
         )
-    state.permanently_removed[update.pruned_neurons[:n_rm]] = True
+    removed[update.pruned_neurons[:n_rm]] = True
 
     # neuron reconnection: best row-max |gradient| wins, ties by index
-    pool = np.flatnonzero(~state.connected & ~state.permanently_removed)
+    connected = layer.mask.any(axis=1)
+    pool = np.flatnonzero(~connected & ~removed)
     n_g = counts.n_g
     if n_g > len(pool):
         warnings.warn(
@@ -237,22 +213,9 @@ def regrow_input(net: SparseNetwork, state: InputLayerState,
         best_cols = np.argmax(grad_abs, axis=1)  # first max = lowest column
         pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], n_g)
         grow(layer, 0, pool[pick] * layer.cols + best_cols[pick], delta)
-        state.connected[pool[pick]] = True
+        connected[pool[pick]] = True
 
-    # connection top-up on connected rows, back to the layer target
-    need = net.nnz_targets[0] - layer.nnz()
-    if need > 0:
-        eligible = ~layer.mask & ~delta.pruned_mask(0, layer.mask.shape)
-        eligible &= state.connected[:, None]
-        cand = np.flatnonzero(eligible)
-        if len(cand) < need:
-            warnings.warn(
-                f"input layer: only {len(cand)} positions available to regrow "
-                f"{need}; connection count will recover on a later update",
-                RuntimeWarning,
-            )
-        grow(layer, 0, cand[smallest(-np.abs(np.take(input_dense_grad, cand)), need)], delta)
-
+    regrow_layer_by_gradient(net, 0, input_dense_grad, delta, rows=connected)
     net.touch()
     return update
 
@@ -267,12 +230,12 @@ class SelectionResult:
     shortfall: bool
 
 
-def select_features(net: SparseNetwork, state: InputLayerState, k: int) -> SelectionResult:
+def select_features(net: SparseNetwork, k: int) -> SelectionResult:
     """Top-k connected input neurons by strength, descending; ties by index."""
     layer = net.layers[0]
-    state.refresh(layer)
-    connected = np.nonzero(state.connected)[0]
-    order = np.lexsort((connected, -state.strengths[connected]))
+    strengths = row_strengths(layer)
+    connected = np.flatnonzero(layer.mask.any(axis=1))
+    order = np.lexsort((connected, -strengths[connected]))
     take = min(k, len(connected))
     shortfall = take < k
     if shortfall:
@@ -284,7 +247,7 @@ def select_features(net: SparseNetwork, state: InputLayerState, k: int) -> Selec
     chosen = connected[order[:take]]
     return SelectionResult(
         [int(i) for i in chosen],
-        [float(state.strengths[i]) for i in chosen],
+        [float(strengths[i]) for i in chosen],
         k,
         shortfall,
     )

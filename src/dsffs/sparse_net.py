@@ -70,13 +70,6 @@ class SparseNetwork:
         # cache taken before the network changed
         self.version = 0
 
-    @property
-    def density(self) -> float:
-        return 1.0 - self.sparsity
-
-    def dims(self) -> list[int]:
-        return [self.layers[0].rows] + [layer.cols for layer in self.layers]
-
     def layer_nnz(self) -> list[int]:
         return [layer.nnz() for layer in self.layers]
 

@@ -67,6 +67,16 @@ class TestConfigParsing:
         p = write_cfg(tmp_path, TINY.replace("hidden_dims: [8]", "hidden_dims: 16, 8"))
         assert load_config(p).hidden_dims == [16, 8]
 
+    @pytest.mark.parametrize("entry", ["2.7", "true", ".inf"])
+    def test_hidden_dims_entries_parsed_as_integers(self, tmp_path, entry):
+        # each entry is an int key: no truncation, no bool, no overflow
+        p = write_cfg(tmp_path, TINY.replace("hidden_dims: [8]", f"hidden_dims: [{entry}]"))
+        with pytest.raises(ConfigError, match="'hidden_dims' must be (an integer|finite)"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DSFFS_SEED", "777")
         cfg = load_config(write_cfg(tmp_path))

@@ -49,16 +49,18 @@ class TestMagnitudePrune:
         delta = TopologyDelta()
         prune_layer_by_magnitude(net, 1, 2, delta)
         assert sorted(delta.pruned.tolist()) == [[1, 0, 0], [1, 0, 1]]
-        # exhaustive over every 4-permutation of distinct magnitudes: the two
-        # smallest go unless column protection holds one back
+        # exhaustive over every 4-permutation of distinct magnitudes: the
+        # smallest goes, then the smaller of the other column's two, since
+        # column protection holds back the last of the first one's column
         from itertools import permutations
         for perm in permutations([0.1, 0.2, 0.3, 0.4]):
             w = np.array(perm).reshape(2, 2)
             net = two_layer(w)
             delta = TopologyDelta()
-            prune_layer_by_magnitude(net, 1, 2, delta, protect_columns=False)
+            prune_layer_by_magnitude(net, 1, 2, delta)
             pruned = {(i, j) for (_, i, j) in delta.pruned}
-            expected = {divmod(int(k), 2) for k in np.argsort(w.ravel())[:2]}
+            i, j = divmod(int(np.argmin(w)), 2)
+            expected = {(i, j), (int(np.argmin(w[:, 1 - j])), 1 - j)}
             assert pruned == expected
 
     def test_last_column_connection_protected(self):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsffs.input_selector import (
-    InputLayerState,
     InputSchedule,
     ScheduleCounts,
     compute_schedule,
@@ -113,6 +114,23 @@ class TestSchedule:
             assert s.D - s.T_r - c.n_p >= s.K
             s.record(c.n_remove)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_schedule_exact_for_any_parameters(self, data):
+        D = data.draw(st.integers(1, 1000))
+        K = data.draw(st.integers(1, D))
+        zeta = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        beta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        s = InputSchedule(D, K, zeta, beta, data.draw(st.integers(1, 80)))
+        for r in range(1, s.r_max + 1):
+            c = compute_schedule(s, r)
+            assert c.n_p >= c.n_remove >= 0 and c.n_g >= 0
+            if r > s.r_remove:
+                assert c.n_remove == 0
+            s.record(c.n_remove)
+            assert s.D - s.T_r >= s.K
+        assert s.T_r == s.T
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             InputSchedule(10, 20, 0.2, 0.65, 10)   # K > D
@@ -156,16 +174,16 @@ def brute_force_prune(weights, mask, removed, n_p, zeta):
 class TestPruneInput:
     def test_lowest_strength_neuron_disconnected(self):
         net = input_net([[0.9], [0.1], [0.5]])
-        state = InputLayerState.from_layer(net.layers[0])
-        prune_input(net, state, ScheduleCounts(1, 0, 1), zeta=0.0)
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
+        prune_input(net, removed, ScheduleCounts(1, 0, 1), zeta=0.0)
         assert not net.layers[0].mask[1].any()
         assert net.layers[0].mask[0].any() and net.layers[0].mask[2].any()
 
     def test_zeta_zero_only_neuron_pruning(self):
         net = input_net([[0.9, 0.8], [0.1, 0.2], [0.5, 0.4]])
-        state = InputLayerState.from_layer(net.layers[0])
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
         before = net.layers[0].nnz()
-        update = prune_input(net, state, ScheduleCounts(1, 1, 0), zeta=0.0)
+        update = prune_input(net, removed, ScheduleCounts(1, 1, 0), zeta=0.0)
         assert net.layers[0].nnz() == before - 2  # only row 1's two connections
         assert update.pruned_neurons == [1]
 
@@ -177,29 +195,28 @@ class TestPruneInput:
             removed = np.zeros(10, dtype=bool)
             removed[rng.integers(0, 10)] = mask[rng.integers(0, 10)].any() and False
             net = input_net(w, mask=mask, hidden=np.ones((6, 2)))
-            state = InputLayerState.from_layer(net.layers[0], removed)
-            prune_input(net, state, ScheduleCounts(2, 1, 1), zeta=0.2)
+            prune_input(net, removed.copy(), ScheduleCounts(2, 1, 1), zeta=0.2)
             bw, bm, victims = brute_force_prune(w, mask, removed, 2, 0.2)
             assert np.array_equal(net.layers[0].mask, bm)
             assert np.array_equal(net.layers[0].weights, bw)
 
     def test_shortfall_warns(self):
         net = input_net([[0.5], [0.0]], mask=[[1], [0]])
-        state = InputLayerState.from_layer(net.layers[0])
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
         with pytest.warns(RuntimeWarning, match="prunable"):
-            prune_input(net, state, ScheduleCounts(2, 2, 0), zeta=0.0)
+            prune_input(net, removed, ScheduleCounts(2, 2, 0), zeta=0.0)
 
 
 class TestRegrowInput:
     def test_reconnects_highest_gradient_column(self):
         net = input_net([[0.7, 0.2], [0.0, 0.0]], mask=[[1, 1], [0, 0]])
         net.nnz_targets[0] = 3
-        state = InputLayerState.from_layer(net.layers[0])
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
         from dsffs.input_selector import InputUpdate
         from dsffs.dst_update import TopologyDelta
         update = InputUpdate(TopologyDelta(), [])
         grads = np.array([[0.0, 0.0], [0.1, 0.8]])
-        regrow_input(net, state, ScheduleCounts(0, 0, 1), grads, update)
+        regrow_input(net, removed, ScheduleCounts(0, 0, 1), grads, update)
         assert net.layers[0].mask[1, 1]
         assert net.layers[0].weights[1, 1] == 0.0
         assert net.layers[0].nnz() == 3
@@ -210,10 +227,10 @@ class TestRegrowInput:
         mask[0] = True  # keep at least one clearly connected row
         w = rng.normal(size=(8, 5)) * mask
         net = input_net(w, mask=mask, hidden=np.ones((5, 2)))
-        state = InputLayerState.from_layer(net.layers[0])
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
         target = net.layers[0].nnz()
-        update = prune_input(net, state, ScheduleCounts(0, 0, 0), zeta=0.3)
-        regrow_input(net, state, ScheduleCounts(0, 0, 0),
+        update = prune_input(net, removed, ScheduleCounts(0, 0, 0), zeta=0.3)
+        regrow_input(net, removed, ScheduleCounts(0, 0, 0),
                      rng.normal(size=(8, 5)), update)
         assert net.layers[0].nnz() == target
 
@@ -223,25 +240,25 @@ class TestRegrowInput:
             mask = rng.random((12, 7)) < 0.45
             w = rng.normal(size=(12, 7)) * mask
             net = input_net(w, mask=mask, hidden=np.ones((7, 2)))
-            state = InputLayerState.from_layer(net.layers[0])
+            removed = np.zeros(net.layers[0].rows, dtype=bool)
             target = net.layers[0].nnz()
             counts = ScheduleCounts(2, 1, 1)
-            update = prune_input(net, state, counts, zeta=0.2)
-            regrow_input(net, state, counts, rng.normal(size=(12, 7)), update)
+            update = prune_input(net, removed, counts, zeta=0.2)
+            regrow_input(net, removed, counts, rng.normal(size=(12, 7)), update)
             assert net.layers[0].nnz() == target
             net.validate()
 
     def test_permanent_removal_matches_lowest_strength(self):
         net = input_net([[0.9, 0.9], [0.1, 0.1], [0.5, 0.5], [0.2, 0.2]])
-        state = InputLayerState.from_layer(net.layers[0])
+        removed = np.zeros(net.layers[0].rows, dtype=bool)
         counts = ScheduleCounts(2, 1, 1)
-        update = prune_input(net, state, counts, zeta=0.0)
+        update = prune_input(net, removed, counts, zeta=0.0)
         assert update.pruned_neurons == [1, 3]  # ascending strength
-        regrow_input(net, state, counts, np.ones((4, 2)), update)
-        assert state.permanently_removed[1]          # weakest stays out for good
-        assert not state.permanently_removed[3]
-        assert state.connected[3]                    # the other was regrown
-        assert not state.connected[1]
+        regrow_input(net, removed, counts, np.ones((4, 2)), update)
+        assert removed[1]                       # weakest stays out for good
+        assert not removed[3]
+        assert net.layers[0].mask[3].any()      # the other was regrown
+        assert not net.layers[0].mask[1].any()
 
     def test_same_epoch_pruned_positions_not_regrown(self):
         # connection churn never reuses a just-pruned position; only a
@@ -251,14 +268,14 @@ class TestRegrowInput:
             mask = rng.random((9, 5)) < 0.5
             w = rng.normal(size=(9, 5)) * mask
             net = input_net(w, mask=mask, hidden=np.ones((5, 2)))
-            state = InputLayerState.from_layer(net.layers[0])
+            removed = np.zeros(net.layers[0].rows, dtype=bool)
             counts = ScheduleCounts(2, 1, 1)
-            update = prune_input(net, state, counts, zeta=0.25)
-            regrow_input(net, state, counts, rng.normal(size=(9, 5)), update)
+            update = prune_input(net, removed, counts, zeta=0.25)
+            regrow_input(net, removed, counts, rng.normal(size=(9, 5)), update)
             overlap = (set(map(tuple, update.delta.pruned.tolist()))
                        & set(map(tuple, update.delta.regrown.tolist())))
             # such a neuron was cleared whole this update and is connected again
-            assert all(i in update.pruned_neurons and state.connected[i]
+            assert all(i in update.pruned_neurons and net.layers[0].mask[i].any()
                        for (_, i, _j) in overlap)
 
     def test_permanently_removed_never_reconnected(self):
@@ -267,40 +284,36 @@ class TestRegrowInput:
         w = rng.normal(size=(10, 4)) * mask
         net = input_net(w, mask=mask, hidden=np.ones((4, 2)))
         removed = np.zeros(10, dtype=bool)
-        state = InputLayerState.from_layer(net.layers[0], removed)
         for step in range(5):
             counts = ScheduleCounts(2, 1, 1)
-            update = prune_input(net, state, counts, zeta=0.2)
-            regrow_input(net, state, counts, rng.normal(size=(10, 4)), update)
-            assert not net.layers[0].mask[state.permanently_removed].any()
-        assert int(state.permanently_removed.sum()) == 5
+            update = prune_input(net, removed, counts, zeta=0.2)
+            regrow_input(net, removed, counts, rng.normal(size=(10, 4)), update)
+            assert not net.layers[0].mask[removed].any()
+        assert int(removed.sum()) == 5
 
 
 class TestSelectFeatures:
-    def make_state(self, net):
-        return InputLayerState.from_layer(net.layers[0])
-
     def test_top_k_by_strength(self):
         net = input_net([[0.1], [0.9], [0.5]])
-        sel = select_features(net, self.make_state(net), 2)
+        sel = select_features(net, 2)
         assert sel.indices == [1, 2]
         assert sel.strengths == pytest.approx([0.9, 0.5])
         assert not sel.shortfall
 
     def test_k_equals_connected(self):
         net = input_net([[0.1], [0.9], [0.5]])
-        sel = select_features(net, self.make_state(net), 3)
+        sel = select_features(net, 3)
         assert sel.indices == [1, 2, 0]
 
     def test_tie_break_lowest_index(self):
         net = input_net([[0.5], [0.5], [0.5]])
-        sel = select_features(net, self.make_state(net), 2)
+        sel = select_features(net, 2)
         assert sel.indices == [0, 1]
 
     def test_shortfall_flag(self):
         net = input_net([[0.5], [0.0]], mask=[[1], [0]])
         with pytest.warns(RuntimeWarning):
-            sel = select_features(net, self.make_state(net), 2)
+            sel = select_features(net, 2)
         assert sel.indices == [0]
         assert sel.shortfall
 
@@ -309,7 +322,7 @@ class TestSelectFeatures:
         mask = rng.random((15, 6)) < 0.5
         w = rng.normal(size=(15, 6)) * mask
         net = input_net(w, mask=mask, hidden=np.ones((6, 2)))
-        sel_a = select_features(net, self.make_state(net), 5)
+        sel_a = select_features(net, 5)
         net.layers[0].weights *= 3.7
-        sel_b = select_features(net, self.make_state(net), 5)
+        sel_b = select_features(net, 5)
         assert sel_a.indices == sel_b.indices

@@ -6,9 +6,9 @@ NaN and inf included.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -22,7 +22,7 @@ from dsffs.dst_update import (
     smallest_sparing_last,
 )
 from dsffs.fed_core import _keep_topk
-from dsffs.input_selector import InputLayerState, ScheduleCounts, prune_input, regrow_input
+from dsffs.input_selector import ScheduleCounts, prune_input, regrow_input
 from dsffs.sparse_net import ConfigError, SparseLayer, SparseNetwork
 
 # few distinct values, so ties are common; NaN and inf stand for a diverging run
@@ -125,12 +125,20 @@ class TestSmallestSparingLast:
 
 class TestCallSites:
     @PROPERTY
-    @given(layers(), st.integers(0, 12), st.booleans())
-    def test_prune_layer_by_magnitude(self, layer, count, protect):
+    @given(layers(), st.integers(0, 12), st.sampled_from([0, 1]))
+    def test_prune_layer_by_magnitude(self, layer, count, axis):
         new, old = network(layer), network(layer)
         delta, ref_delta = TopologyDelta(), ref.ListDelta()
-        prune_layer_by_magnitude(new, 0, count, delta, protect_columns=protect)
-        ref.prune_layer_by_magnitude(old, 0, count, ref_delta, protect_columns=protect)
+        prune_layer_by_magnitude(new, 0, count, delta, axis=axis)
+        if axis == 0:
+            ref.prune_layer_by_magnitude(old, 0, count, ref_delta)
+        else:
+            # rows protected: the walk input selection's connection stage ran
+            for flat in ref.smallest_sparing_last(np.abs(layer.weights), layer.mask, count, 1):
+                i, j = divmod(flat, layer.cols)
+                old.layers[0].mask[i, j] = False
+                old.layers[0].weights[i, j] = 0.0
+                ref_delta.pruned.append((0, i, j))
         assert same_layer(new.layers[0], old.layers[0])
         assert conns(delta.pruned) == conns(ref_delta.pruned)
         assert len(delta.pruned) == len(ref_delta.pruned)
@@ -166,21 +174,21 @@ class TestCallSites:
         grad = data.draw(hnp.arrays(np.float64, layer.mask.shape, elements=VALUES))
 
         new, old = network(layer, extra), network(layer, extra)
-        state = InputLayerState.from_layer(new.layers[0], removed)
-        ref_state = InputLayerState.from_layer(old.layers[0], removed)
+        new_removed = removed.copy()
+        ref_state = SimpleNamespace(permanently_removed=removed.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            update = prune_input(new, state, counts, zeta)
+            update = prune_input(new, new_removed, counts, zeta)
             ref_delta, victims = ref.prune_input(old, ref_state, counts, zeta)
             assert update.pruned_neurons == victims
             assert same_layer(new.layers[0], old.layers[0])
             assert conns(update.delta.pruned) == conns(ref_delta.pruned)
-            regrow_input(new, state, counts, grad, update)
+            regrow_input(new, new_removed, counts, grad, update)
         ref.regrow_input(old, ref_state, counts, grad, ref_delta, victims)
         assert same_layer(new.layers[0], old.layers[0])
         assert conns(update.delta.regrown) == conns(ref_delta.regrown)
-        assert np.array_equal(state.permanently_removed, ref_state.permanently_removed)
-        assert np.array_equal(state.connected, ref_state.connected)
+        assert np.array_equal(new_removed, ref_state.permanently_removed)
+        assert np.array_equal(new.layers[0].mask.any(axis=1), ref_state.connected)
 
     @PROPERTY
     @given(st.data())
@@ -206,12 +214,11 @@ class TestCallSites:
             assert int(new.sum()) == target
 
 
-@pytest.mark.parametrize("protect", [True, False])
-def test_prune_on_all_equal_weights_matches_reference(protect):
+def test_prune_on_all_equal_weights_matches_reference():
     # every weight equal: the lowest (row, col) positions go first
     layer = SparseLayer(np.full((3, 3), 0.5), np.ones((3, 3), dtype=bool), np.zeros(3))
     new, old = network(layer, 0), network(layer, 0)
     delta, ref_delta = TopologyDelta(), ref.ListDelta()
-    prune_layer_by_magnitude(new, 0, 4, delta, protect_columns=protect)
-    ref.prune_layer_by_magnitude(old, 0, 4, ref_delta, protect_columns=protect)
+    prune_layer_by_magnitude(new, 0, 4, delta)
+    ref.prune_layer_by_magnitude(old, 0, 4, ref_delta)
     assert conns(delta.pruned) == conns(ref_delta.pruned)
