@@ -187,7 +187,6 @@ def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
     if cfg.normalize != "none":
         train_idx = np.sort(np.concatenate(parts.shards))
         normed = normalize(ds, cfg.normalize, fit_idx=train_idx)
-        normed.meta = dict(ds.meta)
         parts = type(parts)(normed, parts.shards, parts.test)
     return parts
 

@@ -189,20 +189,15 @@ def load_dataset(path, fmt: str, label_column: str | None = None,
     """Dispatch on format: csv | idx | libsvm.
 
     For idx, `path` names the image file and the label file separated by a
-    comma (a 2-sequence works too).
+    comma.
     """
     if fmt == "csv":
         return load_csv(path, label_column=label_column)
     if fmt == "idx":
-        if isinstance(path, (list, tuple)):
-            images, labels = path
-        else:
-            parts = str(path).split(",")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    "idx format needs 'images_path,labels_path'"
-                )
-            images, labels = parts
+        parts = str(path).split(",")
+        if len(parts) != 2:
+            raise DataFormatError("idx format needs 'images_path,labels_path'")
+        images, labels = parts
         return load_idx(images.strip(), labels.strip())
     if fmt == "libsvm":
         return load_libsvm(path, n_features=n_features)
@@ -314,7 +309,9 @@ def generate_synthetic(n_informative: int, n_noise: int, n_samples: int,
     X_noise = rng.standard_normal((n_samples, n_noise))
     X = np.concatenate([X_inf, X_noise], axis=1)
     perm = rng.permutation(n_informative + n_noise)
-    X = X[:, perm]
+    # np.take keeps the row-major layout; X[:, perm] would come back
+    # column-major and make every shard row gather strided
+    X = np.take(X, perm, axis=1)
     informative_idx = np.nonzero(perm < n_informative)[0]
     return Dataset(
         X, y, name=f"synthetic_{n_informative}+{n_noise}",

@@ -40,6 +40,7 @@ from .input_selector import (
 from .metrics import MetricsRecorder, RoundMetrics
 from .sparse_net import (
     ConfigError,
+    SparseLayer,
     SparseNetwork,
     backward,
     forward,
@@ -109,13 +110,6 @@ class FedConfig:
 
 
 @dataclass
-class ClientState:
-    n_samples: int
-    X: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class ServerState:
     global_model: SparseNetwork
     round: int
@@ -125,30 +119,27 @@ class ServerState:
     layer_nnz_history: list[list[int]] = field(default_factory=list)
 
 
-def local_train(client: ClientState, global_net: SparseNetwork,
-                sched: InputSchedule, r: int, config: FedConfig,
+def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
+                counts: ScheduleCounts | None, r: int, config: FedConfig,
                 global_removed: np.ndarray) -> SparseNetwork:
-    """Train one client for Q epochs starting from the broadcast model.
+    """Train one client on its rows (X, y) for Q epochs from the broadcast model.
 
     Each epoch runs minibatch SGD over the shard, then one topology
     update: the dense gradient is re-evaluated on the epoch's last
     minibatch at the post-step weights and feeds both the input-layer and
     the hidden-layer prune/regrow, and the momentum moves onto the new
-    masks. The first epoch of a round applies the round's neuron schedule;
-    later epochs apply steady-state churn (equal prune/regrow, no net
-    removal).
+    masks. `counts` is the round's neuron schedule (None when feature
+    selection is off): the first epoch applies it, later epochs apply
+    steady-state churn (equal prune/regrow, no net removal).
     """
     net = global_net.copy()
     if config.local_epochs == 0:
         return net
     removed = global_removed.copy()
 
-    counts_round = (
-        compute_schedule(sched, r) if config.feature_selection else ScheduleCounts(0, 0, 0)
-    )
     prox = (config.mu, global_net) if config.mu > 0 else None
     velocity = None
-    n = client.n_samples
+    n = len(y)
     batch = min(config.batch_size, n)
 
     for q in range(1, config.local_epochs + 1):
@@ -157,26 +148,23 @@ def local_train(client: ClientState, global_net: SparseNetwork,
         # preserves
         rng = np.random.default_rng([config.seed, r, q])
         order = rng.permutation(n)
-        last_batch = None
         for start in range(0, n, batch):
             sel = order[start:start + batch]
-            xb, yb = client.X[sel], client.y[sel]
-            logits, cache = forward(net, xb)
+            xb, yb = X[sel], y[sel]
+            _, cache = forward(net, xb)
             grads = backward(net, cache, yb)
             velocity = sgd_step(net, grads, config.lr, config.momentum, velocity, prox)
-            last_batch = (xb, yb)
 
-        # dense gradients at the current weights drive this epoch's
-        # prune/regrow; this extra evaluation is topology overhead and is
-        # not charged to the FLOPs accounting
-        xb, yb = last_batch
+        # dense gradients on the last minibatch at the current weights drive
+        # this epoch's prune/regrow; this extra evaluation is topology
+        # overhead and is not charged to the FLOPs accounting
         _, cache = forward(net, xb)
         grads = backward(net, cache, yb)
 
         if config.feature_selection:
-            counts = counts_round if q == 1 else counts_round.churn()
-            update = prune_input(net, removed, counts, config.zeta)
-            regrow_input(net, removed, counts, grads.weights[0], update)
+            epoch_counts = counts if q == 1 else counts.churn()
+            update = prune_input(net, removed, epoch_counts, config.zeta)
+            regrow_input(net, removed, epoch_counts, grads.weights[0], update)
         elif config.zeta > 0.0:
             # plain dynamic sparse training on the input layer too
             delta0 = TopologyDelta()
@@ -203,21 +191,20 @@ def aggregate(clients) -> SparseNetwork:
     total = float(sum(n for n, _ in clients))
     # normalized coefficients keep the one-client case exactly the identity
     coeffs = [n_m / total for n_m, _ in clients]
-    out = clients[0][1].copy()
-    for l, layer in enumerate(out.layers):
-        w = np.zeros_like(layer.weights)
-        b = np.zeros_like(layer.bias)
-        m = np.zeros_like(layer.mask)
+    first = clients[0][1]
+    layers = []
+    for l, ref in enumerate(first.layers):
+        w = np.zeros_like(ref.weights)
+        b = np.zeros_like(ref.bias)
+        m = np.zeros_like(ref.mask)
         for c_m, (_, net) in zip(coeffs, clients):
             w += c_m * net.layers[l].weights
             b += c_m * net.layers[l].bias
             m |= net.layers[l].mask
-        layer.weights = w
-        layer.bias = b
-        layer.mask = m
+        layer = SparseLayer(w, m, b)
         layer.enforce_mask()
-    out.touch()
-    return out
+        layers.append(layer)
+    return SparseNetwork(layers, first.sparsity, first.layer_densities, first.nnz_targets)
 
 
 def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarray,
@@ -247,20 +234,19 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
         np.put(kept, pick, True)
         np.put(allowed, pick, False)
 
-    if adjust and adjust_rate > 0.0:
+    if adjust:
         budget = int(adjust_rate * target)
-        if budget > 0:
-            live, cand = np.flatnonzero(kept), np.flatnonzero(allowed)
-            weak = live[smallest(np.take(w_abs, live), budget, ordered=True)]
-            strong = cand[smallest(-np.take(w_abs, cand), budget, ordered=True)]
-            n_swaps = min(len(weak), len(strong))
-            weak, strong = weak[:n_swaps], strong[:n_swaps]
-            # kept ascends and candidates descend, so the pairs that
-            # improve form a prefix
-            stop = np.take(w_abs, strong) <= np.take(w_abs, weak)
-            n_swaps = int(np.argmax(stop)) if stop.any() else n_swaps
-            np.put(kept, weak[:n_swaps], False)
-            np.put(kept, strong[:n_swaps], True)
+        live, cand = np.flatnonzero(kept), np.flatnonzero(allowed)
+        weak = live[smallest(np.take(w_abs, live), budget, ordered=True)]
+        strong = cand[smallest(-np.take(w_abs, cand), budget, ordered=True)]
+        n_swaps = min(len(weak), len(strong))
+        weak, strong = weak[:n_swaps], strong[:n_swaps]
+        # kept ascends and candidates descend, so the pairs that
+        # improve form a prefix
+        stop = np.take(w_abs, strong) <= np.take(w_abs, weak)
+        n_swaps = int(np.argmax(stop)) if stop.any() else n_swaps
+        np.put(kept, weak[:n_swaps], False)
+        np.put(kept, strong[:n_swaps], True)
     return kept
 
 
@@ -278,27 +264,21 @@ def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
     """
     out = aggregated.copy()
     prev = server.global_model
-    in_layer = out.layers[0]
 
     removed = server.global_removed.copy()
     if config.feature_selection:
-        target_removed = server.schedule.T_r
-        extra = target_removed - int(removed.sum())
+        extra = server.schedule.T_r - int(removed.sum())
         if extra > 0:
             alive = np.flatnonzero(~removed)
-            removed[alive[smallest(row_strengths(in_layer)[alive], extra)]] = True
-        in_layer.mask[removed, :] = False
-        in_layer.weights[removed, :] = 0.0
+            removed[alive[smallest(row_strengths(out.layers[0])[alive], extra)]] = True
     server.global_removed = removed
 
     adjust = config.adjust_every > 0 and r % config.adjust_every == 0
     for l, layer in enumerate(out.layers):
-        kept = prev.layers[l].mask.copy()
-        if l == 0:
-            kept[removed, :] = False
-            allowed_rows = ~removed
-        else:
-            allowed_rows = np.ones(layer.rows, dtype=bool)
+        allowed_rows = ~removed if l == 0 else np.ones(layer.rows, dtype=bool)
+        # removed rows leave the kept mask here; the zeroing below clears
+        # their weights
+        kept = prev.layers[l].mask & allowed_rows[:, None]
         kept = _keep_topk(layer, kept, out.nnz_targets[l], allowed_rows,
                           adjust, config.adjust_rate)
         layer.mask = kept
@@ -320,9 +300,12 @@ def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> 
 def run_training(config: FedConfig, data: PartitionedDataset):
     """Full federated run; returns (server, per-round metrics, selection).
 
-    Clients may train in parallel (config.workers); every client draws its
-    randomness from (seed, round, epoch) and aggregation walks clients in
-    id order, so results do not depend on scheduling.
+    Each round the server fixes the neuron schedule once, the selected
+    clients train on copies of their shard rows in a thread pool of
+    config.workers threads (default one per client), and the server
+    aggregates and resparsifies. Every client draws its randomness from
+    (seed, round, epoch) and aggregation walks clients in id order, so
+    results do not depend on the thread count or on scheduling.
     """
     config.validate()
     if data.n_clients != config.clients:
@@ -346,15 +329,12 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     schedule = InputSchedule(ds.d, k, config.zeta, config.beta, config.rounds)
     server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
 
-    clients = [ClientState(len(shard), *data.shard_xy(m))
-               for m, shard in enumerate(data.shards)]
+    clients = [data.shard_xy(m) for m in range(data.n_clients)]
 
     recorder = MetricsRecorder(data.test_xy(), config.batch_size, config.local_epochs)
     metrics: list[RoundMetrics] = []
-    workers = config.workers or config.clients
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
-    try:
+    with ThreadPoolExecutor(max_workers=config.workers or config.clients) as pool:
         for r in range(1, config.rounds + 1):
             counts = compute_schedule(schedule, r) if config.feature_selection else None
 
@@ -372,17 +352,15 @@ def run_training(config: FedConfig, data: PartitionedDataset):
             removed = server.global_removed
 
             def train_one(m: int) -> SparseNetwork:
-                return local_train(clients[m], broadcast, schedule, r, config, removed)
+                return local_train(*clients[m], broadcast, counts, r, config, removed)
 
-            if pool is not None:
-                results = dict(zip(selected, pool.map(train_one, selected)))
-            else:
-                results = {m: train_one(m) for m in selected}
+            nets = list(pool.map(train_one, selected))
 
-            drifts = [_shared_mask_drift(results[m], broadcast) for m in selected]
+            drifts = [_shared_mask_drift(net, broadcast) for net in nets]
             server.drift_history.append(float(np.mean(drifts)))
 
-            aggregated = aggregate([(clients[m].n_samples, results[m]) for m in selected])
+            sizes = [len(clients[m][1]) for m in selected]
+            aggregated = aggregate(zip(sizes, nets))
             if config.feature_selection:
                 schedule.record(counts.n_remove)
             server.global_model = resparsify_and_reconcile(server, aggregated, config, r)
@@ -393,14 +371,11 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                 )
             server.round = r
             server.layer_nnz_history.append(server.global_model.layer_nnz())
-            rm = recorder.record_round(server, [clients[m].n_samples for m in selected])
+            rm = recorder.record_round(server, sizes)
             metrics.append(rm)
             log.info("round %d/%d: acc=%.4f connected=%d nnz=%d",
                      r, config.rounds, rm.test_accuracy,
                      rm.connected_input_neurons, rm.global_nnz)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     selection: SelectionResult = select_features(server.global_model, k)
     return server, metrics, selection

@@ -235,16 +235,14 @@ def select_features(net: SparseNetwork, k: int) -> SelectionResult:
     layer = net.layers[0]
     strengths = row_strengths(layer)
     connected = np.flatnonzero(layer.mask.any(axis=1))
-    order = np.lexsort((connected, -strengths[connected]))
-    take = min(k, len(connected))
-    shortfall = take < k
+    shortfall = len(connected) < k
     if shortfall:
         warnings.warn(
             f"only {len(connected)} input neurons connected, fewer than the "
             f"{k} requested features",
             RuntimeWarning,
         )
-    chosen = connected[order[:take]]
+    chosen = connected[smallest(-strengths[connected], k, ordered=True)]
     return SelectionResult(
         [int(i) for i in chosen],
         [float(strengths[i]) for i in chosen],

@@ -261,6 +261,13 @@ class TestSynthetic:
         assert np.array_equal(a.y, b.y)
         assert a.meta["informative_idx"] == b.meta["informative_idx"]
 
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_row_major(self, mode):
+        # client shards are row gathers, which a column-major matrix makes strided
+        ds = generate_synthetic(5, 20, 50, 3, seed=2)
+        assert ds.X.flags.c_contiguous
+        assert normalize(ds, mode).X.flags.c_contiguous
+
     def test_linear_head_fits_clean_data(self):
         # engine-only sanity: a dense softmax layer reaches >0.9 train
         # accuracy when every feature is informative

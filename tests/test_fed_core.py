@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsffs.data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import (
-    ClientState,
     FedConfig,
     ServerState,
     aggregate,
@@ -11,7 +14,7 @@ from dsffs.fed_core import (
     resparsify_and_reconcile,
     run_training,
 )
-from dsffs.input_selector import InputSchedule, row_strengths
+from dsffs.input_selector import InputSchedule, compute_schedule, row_strengths
 from dsffs.sparse_net import ConfigError, init_er_topology
 
 from conftest import build_net
@@ -224,15 +227,17 @@ class TestLocalTrain:
         net = init_er_topology(dims, config.sparsity, config.seed)
         sched = InputSchedule(ds.d, config.k_features, config.zeta,
                               config.beta, config.rounds)
-        X, y = parts.shard_xy(0)
-        client = ClientState(len(y), X, y)
-        return net, sched, client
+        return net, sched
+
+    def train(self, parts, net, sched, r, config):
+        return local_train(*parts.shard_xy(0), net, compute_schedule(sched, r), r, config,
+                           np.zeros(6, dtype=bool))
 
     def test_zero_epochs_returns_model_unchanged(self):
         parts = tiny_partition()
         config = self.cfg(local_epochs=0)
-        net, sched, client = self.setup_one(config, parts)
-        out = local_train(client, net, sched, 1, config, np.zeros(6, dtype=bool))
+        net, sched = self.setup_one(config, parts)
+        out = self.train(parts, net, sched, 1, config)
         for lo, ln in zip(out.layers, net.layers):
             assert np.array_equal(lo.weights, ln.weights)
             assert np.array_equal(lo.mask, ln.mask)
@@ -240,9 +245,9 @@ class TestLocalTrain:
     def test_returned_nnz_matches_received(self):
         parts = tiny_partition()
         config = self.cfg()
-        net, sched, client = self.setup_one(config, parts)
+        net, sched = self.setup_one(config, parts)
         for r in range(1, 4):
-            out = local_train(client, net, sched, r, config, np.zeros(6, dtype=bool))
+            out = self.train(parts, net, sched, r, config)
             assert out.nnz() == net.nnz()
             assert out.layer_nnz() == net.nnz_targets
             sched.record(0)
@@ -250,9 +255,9 @@ class TestLocalTrain:
     def test_broadcast_model_not_mutated(self):
         parts = tiny_partition()
         config = self.cfg()
-        net, sched, client = self.setup_one(config, parts)
+        net, sched = self.setup_one(config, parts)
         snapshot = [(l.weights.copy(), l.mask.copy(), l.bias.copy()) for l in net.layers]
-        local_train(client, net, sched, 1, config, np.zeros(6, dtype=bool))
+        self.train(parts, net, sched, 1, config)
         for layer, (w, m, b) in zip(net.layers, snapshot):
             assert np.array_equal(layer.weights, w)
             assert np.array_equal(layer.mask, m)
@@ -264,8 +269,8 @@ class TestLocalTrain:
         # leave the anchor's neighborhood
         parts = tiny_partition()
         config = self.cfg(mu=1e6, lr=1e-6, zeta=0.0, feature_selection=False)
-        net, sched, client = self.setup_one(config, parts)
-        out = local_train(client, net, sched, 1, config, np.zeros(6, dtype=bool))
+        net, sched = self.setup_one(config, parts)
+        out = self.train(parts, net, sched, 1, config)
         for lo, ln in zip(out.layers, net.layers):
             shared = lo.mask & ln.mask
             assert np.max(np.abs((lo.weights - ln.weights)[shared])) < 1e-3
@@ -273,8 +278,8 @@ class TestLocalTrain:
     def test_full_batch_fallback(self):
         parts = tiny_partition(n_per_shard=3)
         config = self.cfg(batch_size=64)
-        net, sched, client = self.setup_one(config, parts)
-        out = local_train(client, net, sched, 1, config, np.zeros(6, dtype=bool))
+        net, sched = self.setup_one(config, parts)
+        out = self.train(parts, net, sched, 1, config)
         assert out.nnz() == net.nnz()
 
 
@@ -320,9 +325,8 @@ class TestRunTraining:
         sched = InputSchedule(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds)
         outs = []
         for m in range(2):
-            X, y = parts.shard_xy(m)
-            client = ClientState(len(y), X, y)
-            outs.append(local_train(client, net, sched, 1, cfg, np.zeros(6, dtype=bool)))
+            outs.append(local_train(*parts.shard_xy(m), net, compute_schedule(sched, 1), 1, cfg,
+                                    np.zeros(6, dtype=bool)))
         agg = aggregate([(12, outs[0]), (12, outs[1])])
         for lo, la in zip(outs[0].layers, agg.layers):
             shared = lo.mask & la.mask
@@ -354,3 +358,39 @@ class TestRunTraining:
         # removal schedule realized: connected count lands at D - T
         assert metrics[-1].connected_input_neurons == 6 - server.schedule.T
         assert int(server.global_removed.sum()) == server.schedule.T_r
+
+
+class TestRoundProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_worker_count_gives_same_run_on_budget(self, data):
+        # results may not depend on the thread count, and every round must
+        # end on each layer's fixed connection count
+        m = data.draw(st.integers(2, 4), label="clients")
+        cpr = data.draw(st.one_of(st.none(), st.integers(1, m)), label="clients_per_round")
+        base = dict(
+            hidden_dims=[5], clients=m, clients_per_round=cpr, rounds=4,
+            sparsity=0.5, k_features=2, local_epochs=2, batch_size=4, lr=0.05,
+            zeta=0.2, beta=0.5, adjust_every=2,
+            adjust_rate=data.draw(st.sampled_from([0.0, 0.3]), label="adjust_rate"),
+            feature_selection=data.draw(st.booleans(), label="feature_selection"),
+            mu=data.draw(st.sampled_from([0.0, 0.01]), label="mu"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        parts = tiny_partition(n_per_shard=data.draw(st.integers(3, 10)), m=m,
+                               seed=base["seed"])
+        with warnings.catch_warnings():
+            # a tiny client layer may regrow short; the server restores the budget
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runs = [run_training(FedConfig(**base, workers=w), parts) for w in (1, 2)]
+        (s1, metrics1, sel1), (s2, metrics2, sel2) = runs
+        assert [r.csv_row() for r in metrics1] == [r.csv_row() for r in metrics2]
+        assert sel1.indices == sel2.indices
+        assert sel1.strengths == sel2.strengths
+        for a, b in zip(s1.global_model.layers, s2.global_model.layers):
+            assert np.array_equal(a.mask, b.mask)
+            assert a.weights.tobytes() == b.weights.tobytes()
+        for server, _, _ in runs:
+            assert len(server.layer_nnz_history) == base["rounds"]
+            assert all(nnz == server.global_model.nnz_targets
+                       for nnz in server.layer_nnz_history)

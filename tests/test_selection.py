@@ -22,7 +22,7 @@ from dsffs.dst_update import (
     smallest_sparing_last,
 )
 from dsffs.fed_core import _keep_topk
-from dsffs.input_selector import ScheduleCounts, prune_input, regrow_input
+from dsffs.input_selector import ScheduleCounts, prune_input, regrow_input, select_features
 from dsffs.sparse_net import ConfigError, SparseLayer, SparseNetwork
 
 # few distinct values, so ties are common; NaN and inf stand for a diverging run
@@ -189,6 +189,19 @@ class TestCallSites:
         assert conns(update.delta.regrown) == conns(ref_delta.regrown)
         assert np.array_equal(new_removed, ref_state.permanently_removed)
         assert np.array_equal(new.layers[0].mask.any(axis=1), ref_state.connected)
+
+    @PROPERTY
+    @given(layers(max_rows=9), st.integers(1, 11))
+    def test_select_features_matches_lexsort(self, layer, k):
+        strengths = np.abs(layer.weights).sum(axis=1)
+        connected = np.flatnonzero(layer.mask.any(axis=1))
+        expected = connected[np.lexsort((connected, -strengths[connected]))[:k]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = select_features(network(layer), k)
+        assert got.indices == expected.tolist()
+        assert np.array_equal(got.strengths, strengths[expected], equal_nan=True)
+        assert got.shortfall == (len(connected) < k)
 
     @PROPERTY
     @given(st.data())
