@@ -40,10 +40,8 @@ def smallest(scores: np.ndarray, k: int, ordered: bool = False) -> np.ndarray:
         kth = scores[pick[-1]]
         # the partition settles ties at the k-th value arbitrarily; when
         # some fall outside the pick, the lowest-index ones go in instead
-        if np.isnan(kth):
-            tied, tied_in = np.isnan(scores), np.isnan(scores[pick])
-        else:
-            tied, tied_in = scores == kth, scores[pick] == kth
+        tied = np.isnan(scores) if np.isnan(kth) else scores == kth
+        tied_in = tied[pick]
         n_in = np.count_nonzero(tied_in)
         if np.count_nonzero(tied) > n_in:
             pick = np.concatenate([pick[~tied_in], np.flatnonzero(tied)[:n_in]])
@@ -51,42 +49,34 @@ def smallest(scores: np.ndarray, k: int, ordered: bool = False) -> np.ndarray:
     return pick[np.argsort(scores[pick], kind="stable")] if ordered else pick
 
 
-def _group_lasts(flat: np.ndarray, live: np.ndarray, width: int) -> np.ndarray:
-    """Positions in `flat` (ascending row-major indices, `width` wide) of each
-    row's last entry: its largest `live` score (NaN above all), ties going to
-    the largest column."""
-    if not len(flat):
-        return flat
-    starts = np.flatnonzero(np.diff(flat // width, prepend=-1))
-    top = np.repeat(np.maximum.reduceat(live, starts), np.diff(starts, append=len(flat)))
-    at_top = (live == top) | (np.isnan(live) & np.isnan(top))
-    return np.maximum.reduceat(np.where(at_top, np.arange(len(flat)), -1), starts)
-
-
 def smallest_sparing_last(scores: np.ndarray, mask: np.ndarray, k: int,
                           axis: int) -> np.ndarray:
     """Flat indices of the min(k, nnz) smallest live entries of 2-D `scores`.
 
-    Live entries are those of `mask`, ordered by (score, row, col). The
-    last live entry of each group (each row for axis=1, each column for
-    axis=0) goes only once every other live entry has: first the k
-    smallest non-last entries, then, if those are fewer than k, the last
-    entries in order.
+    Live entries are those of `mask`, ordered by (score, row, col), NaN
+    above every number. The last live entry of each group (each row for
+    axis=1, each column for axis=0) goes only once every other live entry
+    has: first the k smallest non-last entries, then, if those are fewer
+    than k, the last entries in order. A group's last entry is its largest
+    score, ties going to the largest column of a row or the largest row of
+    a column.
     """
-    n_rows, n_cols = mask.shape
     flat = np.flatnonzero(mask)
     live = np.take(scores, flat)
-    if axis == 1:
-        last = _group_lasts(flat, live, n_cols)
-    else:
-        # columns are the rows of the transpose; map their lasts back
-        flat_t = np.flatnonzero(mask.T)
-        cols, rows = np.divmod(flat_t, n_rows)
-        by_col = rows * n_cols + cols
-        lasts_t = _group_lasts(flat_t, np.take(scores, by_col), n_rows)
-        last = np.searchsorted(flat, by_col[lasts_t])
+    n_cols = mask.shape[1]
+    group = flat // n_cols if axis == 1 else flat % n_cols
+    n_groups = mask.shape[1 - axis]
+    top = np.full(n_groups, -np.inf)
+    # np.maximum propagates NaN, so a group holding one tops out at NaN
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(top, group, live)
+    at_top = (live == top[group]) | np.isnan(live)
+    # in row-major order the largest position among a group's top scores
+    # is its last member
+    last = np.full(n_groups, -1)
+    np.maximum.at(last, group[at_top], np.flatnonzero(at_top))
     is_last = np.zeros(len(flat), dtype=bool)
-    is_last[last] = True
+    is_last[last[last >= 0]] = True
 
     others = np.flatnonzero(~is_last)
     pick = others[smallest(live[others], k)]
@@ -119,18 +109,28 @@ def _triples(l: int, width: int, flat: np.ndarray) -> np.ndarray:
     return np.column_stack([np.full_like(rows, l), rows, cols])
 
 
-def cut(layer, l: int, flat: np.ndarray, delta: TopologyDelta) -> None:
-    """Deactivate layer `l` at flat row-major positions `flat`, zeroing them."""
+def cut(net: SparseNetwork, l: int, flat: np.ndarray, delta: TopologyDelta) -> None:
+    """Deactivate layer `l` at flat row-major positions `flat`, zeroing them.
+
+    Bumps the network version, so callers need not `touch()` after it.
+    """
+    layer = net.layers[l]
     np.put(layer.mask, flat, False)
     np.put(layer.weights, flat, 0.0)
     delta.pruned = np.concatenate([delta.pruned, _triples(l, layer.cols, flat)])
+    net.touch()
 
 
-def grow(layer, l: int, flat: np.ndarray, delta: TopologyDelta) -> None:
-    """Activate layer `l` at flat row-major positions `flat` with weight zero."""
+def grow(net: SparseNetwork, l: int, flat: np.ndarray, delta: TopologyDelta) -> None:
+    """Activate layer `l` at flat row-major positions `flat` with weight zero.
+
+    Bumps the network version, so callers need not `touch()` after it.
+    """
+    layer = net.layers[l]
     np.put(layer.mask, flat, True)
     np.put(layer.weights, flat, 0.0)
     delta.regrown = np.concatenate([delta.regrown, _triples(l, layer.cols, flat)])
+    net.touch()
 
 
 def prune_layer_by_magnitude(net: SparseNetwork, l: int, count: int,
@@ -145,7 +145,7 @@ def prune_layer_by_magnitude(net: SparseNetwork, l: int, count: int,
     if count <= 0:
         return
     layer = net.layers[l]
-    cut(layer, l, smallest_sparing_last(np.abs(layer.weights), layer.mask, count, axis), delta)
+    cut(net, l, smallest_sparing_last(np.abs(layer.weights), layer.mask, count, axis), delta)
 
 
 def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
@@ -172,7 +172,7 @@ def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
             f"{need}; connection count will recover on a later update",
             RuntimeWarning,
         )
-    grow(layer, l, cand[smallest(-np.abs(np.take(dense_grad, cand)), need)], delta)
+    grow(net, l, cand[smallest(-np.abs(np.take(dense_grad, cand)), need)], delta)
 
 
 def churn_count(net: SparseNetwork, l: int, fraction: float,
@@ -200,7 +200,6 @@ def magnitude_prune_hidden(net: SparseNetwork, fraction: float) -> TopologyDelta
             warnings.warn(f"layer {l} has no connections; skipping prune", RuntimeWarning)
             continue
         prune_layer_by_magnitude(net, l, churn_count(net, l, fraction), delta)
-    net.touch()
     return delta
 
 
@@ -209,5 +208,4 @@ def gradient_regrow_hidden(net: SparseNetwork, dense_grads: list,
     """Regrow every non-input layer back to its target by dense-gradient magnitude."""
     for l in range(1, len(net.layers)):
         regrow_layer_by_gradient(net, l, dense_grads[l], delta)
-    net.touch()
     return delta

@@ -107,6 +107,8 @@ class FedConfig:
             raise ConfigError(f"adjust_rate must be in [0, 1), got {self.adjust_rate}")
         if self.adjust_every < 0:
             raise ConfigError("adjust_every cannot be negative")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass
@@ -170,7 +172,6 @@ def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
             delta0 = TopologyDelta()
             prune_layer_by_magnitude(net, 0, churn_count(net, 0, config.zeta), delta0)
             regrow_layer_by_gradient(net, 0, grads.weights[0], delta0)
-            net.touch()
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
             gradient_regrow_hidden(net, grads.weights, delta)
@@ -201,9 +202,7 @@ def aggregate(clients) -> SparseNetwork:
             w += c_m * net.layers[l].weights
             b += c_m * net.layers[l].bias
             m |= net.layers[l].mask
-        layer = SparseLayer(w, m, b)
-        layer.enforce_mask()
-        layers.append(layer)
+        layers.append(SparseLayer(w, m, b))
     return SparseNetwork(layers, first.sparsity, first.layer_densities, first.nnz_targets)
 
 

@@ -162,11 +162,10 @@ def prune_input(net: SparseNetwork, removed: np.ndarray,
         )
     victims = prunable[smallest(row_strengths(layer)[prunable], n_p, ordered=True)]
     rows, cols = np.nonzero(layer.mask[victims])
-    cut(layer, 0, victims[rows] * layer.cols + cols, delta)
+    cut(net, 0, victims[rows] * layer.cols + cols, delta)
     connected[victims] = False
 
     prune_layer_by_magnitude(net, 0, churn_count(net, 0, zeta, connected), delta, axis=1)
-    net.touch()
     return InputUpdate(delta, victims.tolist())
 
 
@@ -212,11 +211,10 @@ def regrow_input(net: SparseNetwork, removed: np.ndarray,
         grad_abs = np.abs(input_dense_grad[pool])
         best_cols = np.argmax(grad_abs, axis=1)  # first max = lowest column
         pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], n_g)
-        grow(layer, 0, pool[pick] * layer.cols + best_cols[pick], delta)
+        grow(net, 0, pool[pick] * layer.cols + best_cols[pick], delta)
         connected[pool[pick]] = True
 
     regrow_layer_by_gradient(net, 0, input_dense_grad, delta, rows=connected)
-    net.touch()
     return update
 
 

@@ -46,9 +46,6 @@ class SparseLayer:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def enforce_mask(self) -> None:
-        self.weights *= self.mask
-
     def copy(self) -> "SparseLayer":
         return SparseLayer(self.weights.copy(), self.mask.copy(), self.bias.copy())
 

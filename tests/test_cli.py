@@ -173,8 +173,13 @@ class TestCmdRun:
             assert a == b, name
 
     def test_config_error_exit_code(self, tmp_path):
-        p = write_cfg(tmp_path, TINY.replace("clients: 2", "clients: 1"))
-        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        cases = [("clients: 1", []), ("clients: 2", ["--workers", "0"]),
+                 ("clients: 2", ["--workers", "-1"])]
+        for i, (clients, extra) in enumerate(cases):
+            p = write_cfg(tmp_path, TINY.replace("clients: 2", clients), name=f"exp{i}.yaml")
+            out = tmp_path / f"out{i}"
+            assert main(["run", "--config", p, "--out", str(out), *extra]) == EXIT_CONFIG, extra
+            assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),

@@ -167,7 +167,7 @@ class TestResparsify:
         server = make_server([6, 4, 3], 0.5, seed=6, k=2)
         server.global_removed[4] = True
         server.global_model.layers[0].mask[4, :] = False
-        server.global_model.layers[0].enforce_mask()
+        server.global_model.layers[0].weights[4, :] = 0.0
         agg = aggregate([(1, server.global_model.copy())])
         server.schedule.record(2)
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dsffs.dst_update import TopologyDelta, prune_layer_by_magnitude, regrow_layer_by_gradient
 from dsffs.sparse_net import (
     ConfigError,
     Gradients,
@@ -144,6 +145,27 @@ class TestBackward:
         sgd_step(net, g, lr=0.1)
         with pytest.raises(ValueError, match="stale"):
             backward(net, cache, y)
+
+    def test_prune_makes_cache_stale(self, rng):
+        net = init_er_topology([5, 4, 2], 0.5, seed=3)
+        X = rng.normal(size=(3, 5))
+        _, cache = forward(net, X)
+        delta = TopologyDelta()
+        prune_layer_by_magnitude(net, 0, 2, delta)
+        assert len(delta.pruned) == 2
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, cache, rng.integers(0, 2, size=3))
+
+    def test_regrow_makes_cache_stale(self, rng):
+        net = init_er_topology([5, 4, 2], 0.5, seed=3)
+        X = rng.normal(size=(3, 5))
+        delta = TopologyDelta()
+        prune_layer_by_magnitude(net, 0, 2, delta)
+        _, cache = forward(net, X)
+        regrow_layer_by_gradient(net, 0, rng.normal(size=(5, 4)), delta)
+        assert len(delta.regrown) == 2
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, cache, rng.integers(0, 2, size=3))
 
     def test_label_shape_mismatch(self, rng):
         net = init_er_topology([5, 4, 2], 0.5, seed=3)
