@@ -214,19 +214,14 @@ def normalize(ds: Dataset, mode: str = "minmax", fit_idx=None) -> Dataset:
     if ref.shape[0] < 1:
         raise ValueError("cannot fit normalization on an empty split")
     if mode == "minmax":
-        lo = ref.min(axis=0)
-        span = ref.max(axis=0) - lo
-        safe = np.where(span == 0.0, 1.0, span)
-        X = (ds.X - lo) / safe
-        X[:, span == 0.0] = 0.0
+        center = ref.min(axis=0)
+        scale = ref.max(axis=0) - center
     elif mode == "zscore":
-        mu = ref.mean(axis=0)
-        sd = ref.std(axis=0)
-        safe = np.where(sd == 0.0, 1.0, sd)
-        X = (ds.X - mu) / safe
-        X[:, sd == 0.0] = 0.0
+        center, scale = ref.mean(axis=0), ref.std(axis=0)
     else:
         raise ConfigError(f"unknown normalization mode {mode!r}")
+    X = (ds.X - center) / np.where(scale == 0.0, 1.0, scale)
+    X[:, scale == 0.0] = 0.0
     return Dataset(X, ds.y.copy(), name=ds.name,
                    feature_names=ds.feature_names, meta=dict(ds.meta))
 

@@ -7,12 +7,14 @@ layers, plain-DST layer 0 and the input layer under feature selection all
 churn through `prune_layer_by_magnitude` and `regrow_layer_by_gradient`;
 feature selection adds only its neuron stage (`input_selector`).
 
-Every topology pick in the package goes through `smallest` or
+Every topology pick in the package but one goes through `smallest` or
 `smallest_sparing_last`: exactly min(k, n) picks, NaN and inf included;
 the first k in (score, row, col) order (largest-first picks negate the
 score); with protection, each row's or column's last member in that order
 goes only after all others. Cost: an O(n) partition plus O(k log k) to
-order the winners, not a full sort and a per-connection loop.
+order the winners, not a full sort and a per-connection loop. The
+exception is `input_selector.regrow_input`, which picks each reconnected
+row's column with `np.argmax` (the first maximum, so the lowest column).
 """
 
 from __future__ import annotations

@@ -117,8 +117,6 @@ class ServerState:
     round: int
     schedule: InputSchedule
     global_removed: np.ndarray
-    drift_history: list[float] = field(default_factory=list)
-    layer_nnz_history: list[list[int]] = field(default_factory=list)
 
 
 def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
@@ -257,11 +255,12 @@ def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
     strength, previously removed ones staying removed) are disconnected
     until the removed count matches the schedule's cumulative total. Then
     every layer keeps its previous global mask, refills any deficit from
-    union candidates by descending |weight|, and, on adjustment rounds
-    (every `adjust_every`-th), may swap up to a fraction `adjust_rate` of
-    kept connections for strictly stronger ones.
+    the inactive positions on allowed rows by descending |weight| (those
+    outside the union carry weight 0 and tie by index), and, on
+    adjustment rounds (every `adjust_every`-th), may swap up to a fraction
+    `adjust_rate` of kept connections for strictly stronger ones.
+    `aggregated` is edited in place and returned.
     """
-    out = aggregated.copy()
     prev = server.global_model
 
     removed = server.global_removed.copy()
@@ -269,21 +268,21 @@ def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
         extra = server.schedule.T_r - int(removed.sum())
         if extra > 0:
             alive = np.flatnonzero(~removed)
-            removed[alive[smallest(row_strengths(out.layers[0])[alive], extra)]] = True
+            removed[alive[smallest(row_strengths(aggregated.layers[0])[alive], extra)]] = True
     server.global_removed = removed
 
     adjust = config.adjust_every > 0 and r % config.adjust_every == 0
-    for l, layer in enumerate(out.layers):
+    for l, layer in enumerate(aggregated.layers):
         allowed_rows = ~removed if l == 0 else np.ones(layer.rows, dtype=bool)
         # removed rows leave the kept mask here; the zeroing below clears
         # their weights
         kept = prev.layers[l].mask & allowed_rows[:, None]
-        kept = _keep_topk(layer, kept, out.nnz_targets[l], allowed_rows,
+        kept = _keep_topk(layer, kept, aggregated.nnz_targets[l], allowed_rows,
                           adjust, config.adjust_rate)
         layer.mask = kept
         layer.weights[~kept] = 0.0
-    out.touch()
-    return out
+    aggregated.touch()
+    return aggregated
 
 
 def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> float:
@@ -326,6 +325,11 @@ def run_training(config: FedConfig, data: PartitionedDataset):
 
     global_model = init_er_topology(dims, config.sparsity, config.seed)
     schedule = InputSchedule(ds.d, k, config.zeta, config.beta, config.rounds)
+    target, survivors = global_model.nnz_targets[0], ds.d - schedule.T
+    if config.feature_selection and target > survivors * dims[1]:
+        raise ConfigError(f"layer 0 must keep {target} connections, but the removal schedule "
+                          f"leaves {survivors} of {ds.d} inputs, {survivors} x {dims[1]} = "
+                          f"{survivors * dims[1]} positions")
     server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
 
     clients = [data.shard_xy(m) for m in range(data.n_clients)]
@@ -355,8 +359,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
 
             nets = list(pool.map(train_one, selected))
 
-            drifts = [_shared_mask_drift(net, broadcast) for net in nets]
-            server.drift_history.append(float(np.mean(drifts)))
+            drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
 
             sizes = [len(clients[m][1]) for m in selected]
             aggregated = aggregate(zip(sizes, nets))
@@ -369,8 +372,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                     f"round {r}: training diverged (non-finite global weights or biases)"
                 )
             server.round = r
-            server.layer_nnz_history.append(server.global_model.layer_nnz())
-            rm = recorder.record_round(server, sizes)
+            rm = recorder.record_round(server, sizes, drift)
             metrics.append(rm)
             log.info("round %d/%d: acc=%.4f connected=%d nnz=%d",
                      r, config.rounds, rm.test_accuracy,

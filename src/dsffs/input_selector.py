@@ -79,15 +79,19 @@ class InputSchedule:
 
 @dataclass(frozen=True)
 class ScheduleCounts:
-    """Neuron counts for one update: pruned, net-removed, regrown."""
+    """Neuron counts for one update: net-removed and regrown."""
 
-    n_p: int
     n_remove: int
     n_g: int
 
+    @property
+    def n_p(self) -> int:
+        """Pruned: each is removed for good or balanced by a regrown one."""
+        return self.n_remove + self.n_g
+
     def churn(self) -> "ScheduleCounts":
         """Steady-state variant: equal prune/regrow, no net removal."""
-        return ScheduleCounts(self.n_g, 0, self.n_g)
+        return ScheduleCounts(0, self.n_g)
 
 
 def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
@@ -115,8 +119,7 @@ def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
     n_g = min(_ceil(sched.zeta * (1.0 - r / sched.r_max) * t_r), t_r)
     headroom = sched.D - t_r - n_remove - sched.K
     n_g = max(0, min(n_g, headroom))
-    n_p = n_remove + n_g if r <= sched.r_remove else n_g
-    return ScheduleCounts(n_p, n_remove, n_g)
+    return ScheduleCounts(n_remove, n_g)
 
 
 def row_strengths(layer: SparseLayer) -> np.ndarray:

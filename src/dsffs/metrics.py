@@ -17,15 +17,24 @@ import numpy as np
 
 from .sparse_net import SparseNetwork, forward
 
+EVAL_BATCH = 4096   # test rows per evaluation forward pass
+
 
 @dataclass
 class RoundMetrics:
+    """Everything recorded about one round; `csv_row` writes a subset."""
+
     round: int
     test_accuracy: float
     cumulative_flops: int
     cumulative_upload_bits: int
     connected_input_neurons: int
-    global_nnz: int
+    layer_nnz: list[int]      # per-layer connection count of the global model
+    client_drift: float       # mean L2 distance of client weights from the broadcast
+
+    @property
+    def global_nnz(self) -> int:
+        return sum(self.layer_nnz)
 
     CSV_HEADER = (
         "round,accuracy,cumulative_flops,cumulative_upload_bits,"
@@ -40,7 +49,7 @@ class RoundMetrics:
         )
 
 
-def accuracy(net: SparseNetwork, test, batch_size: int = 4096) -> float:
+def accuracy(net: SparseNetwork, test) -> float:
     """Fraction of argmax-correct predictions on an (X, y) pair.
 
     Ties go to the lowest class.
@@ -49,9 +58,9 @@ def accuracy(net: SparseNetwork, test, batch_size: int = 4096) -> float:
     if len(y) == 0:
         raise ValueError("test set is empty")
     correct = 0
-    for start in range(0, len(y), batch_size):
-        logits, _ = forward(net, X[start:start + batch_size])
-        correct += int((np.argmax(logits, axis=1) == y[start:start + batch_size]).sum())
+    for start in range(0, len(y), EVAL_BATCH):
+        logits, _ = forward(net, X[start:start + EVAL_BATCH])
+        correct += int((np.argmax(logits, axis=1) == y[start:start + EVAL_BATCH]).sum())
     return correct / len(y)
 
 
@@ -63,14 +72,9 @@ def inference_flops(nnz_per_layer, bias_units_per_layer=None) -> int:
     return total
 
 
-def flops_per_example(net: SparseNetwork, phase: str = "inference") -> int:
-    """Per-example cost of the sparse network; training costs 3x inference."""
-    base = inference_flops(net.layer_nnz(), [layer.cols for layer in net.layers])
-    if phase == "inference":
-        return base
-    if phase == "training":
-        return 3 * base
-    raise ValueError(f"unknown phase {phase!r}")
+def flops_per_example(net: SparseNetwork) -> int:
+    """Per-example training cost of the sparse network: 3x its inference cost."""
+    return 3 * inference_flops(net.layer_nnz(), [layer.cols for layer in net.layers])
 
 
 def upload_cost_bits(n_params: int, sparsity: float) -> int:
@@ -85,9 +89,7 @@ def upload_cost_bits(n_params: int, sparsity: float) -> int:
 class MetricsRecorder:
     """Accumulates per-round metrics and the cumulative cost counters.
 
-    Upload is charged per participating client per round; download (the
-    broadcast) is tracked with the same formula but kept out of the CSV
-    columns.
+    Upload is charged per participating client per round.
     """
 
     def __init__(self, test_xy, batch_size: int, local_epochs: int):
@@ -96,24 +98,23 @@ class MetricsRecorder:
         self.local_epochs = local_epochs
         self.cumulative_flops = 0
         self.cumulative_upload_bits = 0
-        self.cumulative_download_bits = 0
 
-    def record_round(self, server, participant_sizes) -> RoundMetrics:
+    def record_round(self, server, participant_sizes, client_drift: float) -> RoundMetrics:
         """Metrics after one completed round.
 
         `participant_sizes` holds the local sample count of every client
-        that trained this round. FLOPs charge Q * ceil(N_m / B) * B
+        that trained this round, and `client_drift` their mean drift from
+        the broadcast model. FLOPs charge Q * ceil(N_m / B) * B
         training examples per client; the connection count is conserved
         across the round, so the per-example cost is well defined.
         """
         net = server.global_model
-        train_cost = flops_per_example(net, "training")
+        train_cost = flops_per_example(net)
         per_model_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
         for n_m in participant_sizes:
-            batches = math.ceil(n_m / self.batch_size) if n_m > 0 else 0
+            batches = math.ceil(n_m / self.batch_size)
             self.cumulative_flops += self.local_epochs * batches * self.batch_size * train_cost
             self.cumulative_upload_bits += per_model_bits
-            self.cumulative_download_bits += per_model_bits
         acc = accuracy(net, self.test_xy)
         connected = int(net.layers[0].mask.any(axis=1).sum())
         return RoundMetrics(
@@ -122,5 +123,6 @@ class MetricsRecorder:
             cumulative_flops=self.cumulative_flops,
             cumulative_upload_bits=self.cumulative_upload_bits,
             connected_input_neurons=connected,
-            global_nnz=net.nnz(),
+            layer_nnz=net.layer_nnz(),
+            client_drift=client_drift,
         )

@@ -80,13 +80,8 @@ class SparseNetwork:
         self.version += 1
 
     def copy(self) -> "SparseNetwork":
-        dup = SparseNetwork(
-            [layer.copy() for layer in self.layers],
-            self.sparsity,
-            self.layer_densities,
-            self.nnz_targets,
-        )
-        return dup
+        return SparseNetwork([layer.copy() for layer in self.layers], self.sparsity,
+                             self.layer_densities, self.nnz_targets)
 
     def validate(self) -> None:
         """Check the mask/weight consistency invariant; raise on violation."""
@@ -178,7 +173,6 @@ class ForwardCache:
     inputs: list[np.ndarray]   # activation feeding each layer; inputs[0] is the batch
     zs: list[np.ndarray]       # pre-activations per layer
     version: int
-    batch_size: int
 
 
 def forward(net: SparseNetwork, batch: np.ndarray):
@@ -200,20 +194,13 @@ def forward(net: SparseNetwork, batch: np.ndarray):
         z = a @ layer.weights + layer.bias
         zs.append(z)
         a = z if l == last else np.maximum(z, 0.0)
-    return a, ForwardCache(inputs, zs, net.version, batch.shape[0])
+    return a, ForwardCache(inputs, zs, net.version)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row maximum for stability."""
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of softmax(logits) against integer labels."""
-    probs = softmax(logits)
-    loss = float(-np.log(probs[np.arange(len(logits)), labels] + 1e-300).mean())
-    return loss, probs
 
 
 @dataclass
@@ -234,13 +221,14 @@ def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray) -> Gra
     if cache.version != net.version:
         raise ValueError("stale cache: network changed since forward()")
     labels = np.asarray(labels)
-    if labels.shape != (cache.batch_size,):
+    n = cache.inputs[0].shape[0]
+    if labels.shape != (n,):
         raise ValueError("labels do not match the cached batch")
 
     n_layers = len(net.layers)
     delta = softmax(cache.zs[-1])
-    delta[np.arange(cache.batch_size), labels] -= 1.0
-    delta /= cache.batch_size
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
 
     weights, bias = [None] * n_layers, [None] * n_layers
     for l in range(n_layers - 1, -1, -1):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dsffs.sparse_net import SparseLayer, SparseNetwork, forward, softmax_cross_entropy
+from dsffs.sparse_net import SparseLayer, SparseNetwork, forward
+from reference_sgd import softmax_cross_entropy
 
 
 def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwork:

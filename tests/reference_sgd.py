@@ -38,14 +38,15 @@ def backward(net, cache, labels) -> Gradients:
     if cache.version != net.version:
         raise ValueError("stale cache: network changed since forward()")
     labels = np.asarray(labels)
-    if labels.shape != (cache.batch_size,):
+    n = cache.inputs[0].shape[0]
+    if labels.shape != (n,):
         raise ValueError("labels do not match the cached batch")
 
     n_layers = len(net.layers)
     _, probs = softmax_cross_entropy(cache.zs[-1], labels)
     delta = probs
-    delta[np.arange(cache.batch_size), labels] -= 1.0
-    delta /= cache.batch_size
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
 
     dense = [None] * n_layers
     bias = [None] * n_layers

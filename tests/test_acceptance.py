@@ -53,7 +53,7 @@ def test_criterion_1_sparsity_conservation():
                     sparsity=0.6, k_features=12, seed=2, batch_size=16, lr=0.02)
     server, metrics, _ = run_training(cfg, parts)
     targets = server.global_model.nnz_targets
-    per_layer_ok = all(nnz == targets for nnz in server.layer_nnz_history)
+    per_layer_ok = all(m.layer_nnz == targets for m in metrics)
     global_ok = all(m.global_nnz == sum(targets) for m in metrics)
     elapsed = time.time() - start
     report(1, "sparsity conservation",
@@ -288,8 +288,8 @@ def test_criterion_9_fedprox_reduces_drift():
         for mu in (0.0, 1.0):
             cfg = crit6_config(seed, fs=True)
             cfg.mu = mu
-            server, _, _ = run_training(cfg, prepare(cfg, ds))
-            drifts[mu].append(float(np.mean(server.drift_history)))
+            _, metrics, _ = run_training(cfg, prepare(cfg, ds))
+            drifts[mu].append(float(np.mean([m.client_drift for m in metrics])))
     med0 = float(np.median(drifts[0.0]))
     med1 = float(np.median(drifts[1.0]))
     elapsed = time.time() - start

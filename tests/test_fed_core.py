@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsffs import fed_core
 from dsffs.data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import (
     FedConfig,
@@ -108,8 +109,9 @@ class TestResparsify:
         client = server.global_model.copy()
         client.layers[1].weights[client.layers[1].mask] += 0.25
         agg = aggregate([(1, client), (1, client.copy())])
+        handed = agg.copy()  # resparsify edits the aggregate in place
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
-        for lo, la in zip(out.layers, agg.layers):
+        for lo, la in zip(out.layers, handed.layers):
             assert np.array_equal(lo.mask, la.mask)
             assert np.array_equal(lo.weights, la.weights)
 
@@ -192,7 +194,7 @@ class TestResparsify:
         layer.weights[oi, oj] = 50.0
         agg = aggregate([(1, client)])
         server.schedule.record(0)
-        out = resparsify_and_reconcile(server, agg, cfg, r=1)
+        out = resparsify_and_reconcile(server, agg.copy(), cfg, r=1)
         assert out.layers[1].mask[oi, oj]
         cfg_noadj = self.config(adjust_every=10, adjust_rate=0.4)
         out2 = resparsify_and_reconcile(server, agg, cfg_noadj, r=1)
@@ -342,6 +344,16 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="two clients"):
             FedConfig(clients=1).validate()
 
+    def test_layer0_budget_the_schedule_cannot_hold_fails_before_training(self, monkeypatch):
+        # D=50 and K=5 remove T=35 inputs, leaving 15 x 8 = 120 layer-0
+        # positions for a 192-connection target
+        trained = []
+        monkeypatch.setattr(fed_core, "local_train", lambda *args: trained.append(args))
+        parts = partition_noniid(generate_synthetic(5, 45, 200, 2, seed=0), 2, 0.5, seed=0)
+        with pytest.raises(ConfigError, match=r"192 connections.* 15 of 50 inputs.* 120 positions"):
+            run_training(self.cfg(rounds=3, k_features=5), parts)
+        assert trained == []
+
     def test_client_subsampling(self):
         parts = tiny_partition(m=4)
         cfg = self.cfg(clients=4, clients_per_round=2, rounds=3)
@@ -390,7 +402,6 @@ class TestRoundProperties:
         for a, b in zip(s1.global_model.layers, s2.global_model.layers):
             assert np.array_equal(a.mask, b.mask)
             assert a.weights.tobytes() == b.weights.tobytes()
-        for server, _, _ in runs:
-            assert len(server.layer_nnz_history) == base["rounds"]
-            assert all(nnz == server.global_model.nnz_targets
-                       for nnz in server.layer_nnz_history)
+        for server, metrics, _ in runs:
+            assert len(metrics) == base["rounds"]
+            assert all(m.layer_nnz == server.global_model.nnz_targets for m in metrics)

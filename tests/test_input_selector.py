@@ -175,7 +175,7 @@ class TestPruneInput:
     def test_lowest_strength_neuron_disconnected(self):
         net = input_net([[0.9], [0.1], [0.5]])
         removed = np.zeros(net.layers[0].rows, dtype=bool)
-        prune_input(net, removed, ScheduleCounts(1, 0, 1), zeta=0.0)
+        prune_input(net, removed, ScheduleCounts(0, 1), zeta=0.0)
         assert not net.layers[0].mask[1].any()
         assert net.layers[0].mask[0].any() and net.layers[0].mask[2].any()
 
@@ -183,7 +183,7 @@ class TestPruneInput:
         net = input_net([[0.9, 0.8], [0.1, 0.2], [0.5, 0.4]])
         removed = np.zeros(net.layers[0].rows, dtype=bool)
         before = net.layers[0].nnz()
-        update = prune_input(net, removed, ScheduleCounts(1, 1, 0), zeta=0.0)
+        update = prune_input(net, removed, ScheduleCounts(1, 0), zeta=0.0)
         assert net.layers[0].nnz() == before - 2  # only row 1's two connections
         assert update.pruned_neurons == [1]
 
@@ -195,7 +195,7 @@ class TestPruneInput:
             removed = np.zeros(10, dtype=bool)
             removed[rng.integers(0, 10)] = mask[rng.integers(0, 10)].any() and False
             net = input_net(w, mask=mask, hidden=np.ones((6, 2)))
-            prune_input(net, removed.copy(), ScheduleCounts(2, 1, 1), zeta=0.2)
+            prune_input(net, removed.copy(), ScheduleCounts(1, 1), zeta=0.2)
             bw, bm, victims = brute_force_prune(w, mask, removed, 2, 0.2)
             assert np.array_equal(net.layers[0].mask, bm)
             assert np.array_equal(net.layers[0].weights, bw)
@@ -204,7 +204,7 @@ class TestPruneInput:
         net = input_net([[0.5], [0.0]], mask=[[1], [0]])
         removed = np.zeros(net.layers[0].rows, dtype=bool)
         with pytest.warns(RuntimeWarning, match="prunable"):
-            prune_input(net, removed, ScheduleCounts(2, 2, 0), zeta=0.0)
+            prune_input(net, removed, ScheduleCounts(2, 0), zeta=0.0)
 
 
 class TestRegrowInput:
@@ -216,7 +216,7 @@ class TestRegrowInput:
         from dsffs.dst_update import TopologyDelta
         update = InputUpdate(TopologyDelta(), [])
         grads = np.array([[0.0, 0.0], [0.1, 0.8]])
-        regrow_input(net, removed, ScheduleCounts(0, 0, 1), grads, update)
+        regrow_input(net, removed, ScheduleCounts(0, 1), grads, update)
         assert net.layers[0].mask[1, 1]
         assert net.layers[0].weights[1, 1] == 0.0
         assert net.layers[0].nnz() == 3
@@ -229,8 +229,8 @@ class TestRegrowInput:
         net = input_net(w, mask=mask, hidden=np.ones((5, 2)))
         removed = np.zeros(net.layers[0].rows, dtype=bool)
         target = net.layers[0].nnz()
-        update = prune_input(net, removed, ScheduleCounts(0, 0, 0), zeta=0.3)
-        regrow_input(net, removed, ScheduleCounts(0, 0, 0),
+        update = prune_input(net, removed, ScheduleCounts(0, 0), zeta=0.3)
+        regrow_input(net, removed, ScheduleCounts(0, 0),
                      rng.normal(size=(8, 5)), update)
         assert net.layers[0].nnz() == target
 
@@ -242,7 +242,7 @@ class TestRegrowInput:
             net = input_net(w, mask=mask, hidden=np.ones((7, 2)))
             removed = np.zeros(net.layers[0].rows, dtype=bool)
             target = net.layers[0].nnz()
-            counts = ScheduleCounts(2, 1, 1)
+            counts = ScheduleCounts(1, 1)
             update = prune_input(net, removed, counts, zeta=0.2)
             regrow_input(net, removed, counts, rng.normal(size=(12, 7)), update)
             assert net.layers[0].nnz() == target
@@ -251,7 +251,7 @@ class TestRegrowInput:
     def test_permanent_removal_matches_lowest_strength(self):
         net = input_net([[0.9, 0.9], [0.1, 0.1], [0.5, 0.5], [0.2, 0.2]])
         removed = np.zeros(net.layers[0].rows, dtype=bool)
-        counts = ScheduleCounts(2, 1, 1)
+        counts = ScheduleCounts(1, 1)
         update = prune_input(net, removed, counts, zeta=0.0)
         assert update.pruned_neurons == [1, 3]  # ascending strength
         regrow_input(net, removed, counts, np.ones((4, 2)), update)
@@ -269,7 +269,7 @@ class TestRegrowInput:
             w = rng.normal(size=(9, 5)) * mask
             net = input_net(w, mask=mask, hidden=np.ones((5, 2)))
             removed = np.zeros(net.layers[0].rows, dtype=bool)
-            counts = ScheduleCounts(2, 1, 1)
+            counts = ScheduleCounts(1, 1)
             update = prune_input(net, removed, counts, zeta=0.25)
             regrow_input(net, removed, counts, rng.normal(size=(9, 5)), update)
             overlap = (set(map(tuple, update.delta.pruned.tolist()))
@@ -285,7 +285,7 @@ class TestRegrowInput:
         net = input_net(w, mask=mask, hidden=np.ones((4, 2)))
         removed = np.zeros(10, dtype=bool)
         for step in range(5):
-            counts = ScheduleCounts(2, 1, 1)
+            counts = ScheduleCounts(1, 1)
             update = prune_input(net, removed, counts, zeta=0.2)
             regrow_input(net, removed, counts, rng.normal(size=(10, 4)), update)
             assert not net.layers[0].mask[removed].any()

@@ -4,6 +4,7 @@ import pytest
 from dsffs.data import Dataset
 from dsffs.metrics import (
     MetricsRecorder,
+    RoundMetrics,
     accuracy,
     flops_per_example,
     inference_flops,
@@ -59,7 +60,8 @@ class TestFlops:
 
     def test_training_is_three_times_inference(self):
         net = init_er_topology([50, 20, 5], 0.5, seed=0)
-        assert flops_per_example(net, "training") == 3 * flops_per_example(net, "inference")
+        cols = [layer.cols for layer in net.layers]
+        assert flops_per_example(net) == 3 * inference_flops(net.layer_nnz(), cols)
 
     def test_sparse_dense_proportionality(self):
         dims = [784, 200, 200, 10]
@@ -74,11 +76,6 @@ class TestFlops:
         b = init_er_topology([30, 10, 4], 0.5, seed=1)
         b.layers[0].weights *= 100.0
         assert flops_per_example(a) == flops_per_example(b)
-
-    def test_unknown_phase(self):
-        net = init_er_topology([4, 2], 0.0, seed=0)
-        with pytest.raises(ValueError):
-            flops_per_example(net, "banana")
 
 
 class TestUploadCost:
@@ -118,7 +115,7 @@ class TestRecordRound:
     def test_no_participants_no_cost(self):
         net = init_er_topology([6, 4, 2], 0.5, seed=0)
         rec = self.make_recorder(net)
-        m = rec.record_round(FakeServer(net, 1), [])
+        m = rec.record_round(FakeServer(net, 1), [], 0.0)
         assert m.cumulative_flops == 0
         assert m.cumulative_upload_bits == 0
 
@@ -126,8 +123,8 @@ class TestRecordRound:
         net = init_er_topology([6, 4, 2], 0.5, seed=0)
         rec1 = self.make_recorder(net)
         rec2 = self.make_recorder(net)
-        one = rec1.record_round(FakeServer(net, 1), [30])
-        two = rec2.record_round(FakeServer(net, 1), [30, 30])
+        one = rec1.record_round(FakeServer(net, 1), [30], 0.0)
+        two = rec2.record_round(FakeServer(net, 1), [30, 30], 0.0)
         assert two.cumulative_upload_bits == 2 * one.cumulative_upload_bits
         assert two.cumulative_flops == 2 * one.cumulative_flops
 
@@ -137,19 +134,28 @@ class TestRecordRound:
         sizes = [17] * 10  # 10 identical clients
         last = None
         for r in range(1, 6):
-            last = rec.record_round(FakeServer(net, r), sizes)
+            last = rec.record_round(FakeServer(net, r), sizes, 0.0)
         per_client_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
         assert last.cumulative_upload_bits == 5 * 10 * per_client_bits
         import math
-        per_client_flops = 3 * math.ceil(17 / 8) * 8 * flops_per_example(net, "training")
+        per_client_flops = 3 * math.ceil(17 / 8) * 8 * flops_per_example(net)
         assert last.cumulative_flops == 5 * 10 * per_client_flops
+
+    def test_round_record_holds_layer_nnz_and_drift(self):
+        net = init_er_topology([8, 6, 2], 0.5, seed=2)
+        m = self.make_recorder(net).record_round(FakeServer(net, 1), [10], 0.25)
+        assert m.layer_nnz == net.layer_nnz()
+        assert m.global_nnz == net.nnz()
+        assert m.client_drift == 0.25
+        # the per-round record keeps both out of metrics.csv
+        assert m.csv_row().count(",") == RoundMetrics.CSV_HEADER.count(",") == 5
 
     def test_counters_monotone(self):
         net = init_er_topology([8, 6, 2], 0.5, seed=2)
         rec = self.make_recorder(net)
         prev_f = prev_u = -1
         for r in range(1, 5):
-            m = rec.record_round(FakeServer(net, r), [10, 20])
+            m = rec.record_round(FakeServer(net, r), [10, 20], 0.0)
             assert m.cumulative_flops > prev_f
             assert m.cumulative_upload_bits > prev_u
             prev_f, prev_u = m.cumulative_flops, m.cumulative_upload_bits

@@ -170,9 +170,10 @@ class TestCallSites:
     def test_input_prune_and_regrow(self, data):
         layer = data.draw(layers(max_rows=9, max_cols=5))
         removed = data.draw(hnp.arrays(np.bool_, layer.rows))
+        # every pruned neuron is removed or balanced by a regrown one
         n_p = data.draw(st.integers(0, layer.rows + 1))
-        n_g = data.draw(st.integers(0, 3))
-        counts = ScheduleCounts(n_p, data.draw(st.integers(0, n_p)), n_g)
+        n_remove = data.draw(st.integers(0, n_p))
+        counts = ScheduleCounts(n_remove, n_p - n_remove)
         zeta = data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
         extra = data.draw(st.integers(0, 3))
         grad = data.draw(hnp.arrays(np.float64, layer.mask.shape, elements=VALUES))

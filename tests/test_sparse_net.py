@@ -11,8 +11,8 @@ from dsffs.sparse_net import (
     forward,
     init_er_topology,
     sgd_step,
-    softmax_cross_entropy,
 )
+from reference_sgd import softmax_cross_entropy
 
 from conftest import build_net, fd_weight_gradients, loss_of, max_rel_err
 
