@@ -2,7 +2,11 @@
 
 Loaders return row-major float feature matrices with integer labels
 remapped densely onto 0..C-1. Partitioning produces index sets (never
-copies) over one train split plus a held-out test split.
+copies) over one train split plus a held-out test split. What stays
+resident through training is one normalized matrix plus a copy of the
+test rows: clients gather their minibatches from that matrix through
+their shard index. Building it holds at most two matrices at once
+(`normalize`'s input and output).
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class PartitionedDataset:
     @property
     def n_clients(self) -> int:
         return len(self.shards)
-
-    def shard_xy(self, m: int):
-        idx = self.shards[m]
-        return self.data.X[idx], self.data.y[idx]
 
     def test_xy(self):
         return self.data.X[self.test], self.data.y[self.test]
@@ -208,19 +208,31 @@ def normalize(ds: Dataset, mode: str = "minmax", fit_idx=None) -> Dataset:
     """Per-feature normalization; statistics from rows `fit_idx` (default all).
 
     minmax maps each feature to [0, 1]; zscore to mean 0, sd 1. Constant
-    features map to 0 under both modes.
+    features map to 0 under both modes. The statistics come from one
+    private copy of the fit rows, which is released before the output is
+    built in place, so at most the input and one matrix-sized array are
+    held at once.
     """
-    ref = ds.X if fit_idx is None else ds.X[fit_idx]
-    if ref.shape[0] < 1:
+    if mode not in ("minmax", "zscore"):
+        raise ConfigError(f"unknown normalization mode {mode!r}")
+    # fit_idx is an index array or mask, and advanced indexing always
+    # copies, so the in-place work below never touches ds.X
+    ref = ds.X.copy() if fit_idx is None else ds.X[fit_idx]
+    n = ref.shape[0]
+    if n < 1:
         raise ValueError("cannot fit normalization on an empty split")
     if mode == "minmax":
         center = ref.min(axis=0)
         scale = ref.max(axis=0) - center
-    elif mode == "zscore":
-        center, scale = ref.mean(axis=0), ref.std(axis=0)
     else:
-        raise ConfigError(f"unknown normalization mode {mode!r}")
-    X = (ds.X - center) / np.where(scale == 0.0, 1.0, scale)
+        # np.mean and np.std's own reductions, with the squared deviations
+        # written over the private copy: the same bytes, one temporary fewer
+        center = ref.sum(axis=0) / n
+        ref -= center
+        scale = np.sqrt(np.square(ref, out=ref).sum(axis=0) / n)
+    del ref
+    X = ds.X - center
+    X /= np.where(scale == 0.0, 1.0, scale)
     X[:, scale == 0.0] = 0.0
     return Dataset(X, ds.y.copy(), name=ds.name,
                    feature_names=ds.feature_names, meta=dict(ds.meta))
@@ -301,11 +313,13 @@ def generate_synthetic(n_informative: int, n_noise: int, n_samples: int,
     for f in range(n_informative):
         means[:, f] = levels[rng.permutation(n_classes)]
     X_inf = means[y] + rng.standard_normal((n_samples, n_informative))
-    X_noise = rng.standard_normal((n_samples, n_noise))
-    X = np.concatenate([X_inf, X_noise], axis=1)
+    # both blocks die with the concatenation, before the permuted copy is
+    # made: at most two matrices at once
+    X = np.concatenate([X_inf, rng.standard_normal((n_samples, n_noise))], axis=1)
+    del X_inf
     perm = rng.permutation(n_informative + n_noise)
     # np.take keeps the row-major layout; X[:, perm] would come back
-    # column-major and make every shard row gather strided
+    # column-major and make every minibatch row gather strided
     X = np.take(X, perm, axis=1)
     informative_idx = np.nonzero(perm < n_informative)[0]
     return Dataset(

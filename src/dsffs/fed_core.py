@@ -119,11 +119,14 @@ class ServerState:
     global_removed: np.ndarray
 
 
-def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
+def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: SparseNetwork,
                 counts: ScheduleCounts | None, r: int, config: FedConfig,
                 global_removed: np.ndarray) -> SparseNetwork:
-    """Train one client on its rows (X, y) for Q epochs from the broadcast model.
+    """Train one client on its shard for Q epochs from the broadcast model.
 
+    X and y are the whole dataset and `rows` the client's shard index;
+    each minibatch gathers its rows of X through `rows`, so no shard is
+    copied.
     Each epoch runs minibatch SGD over the shard, then one topology
     update: the dense gradient is re-evaluated on the epoch's last
     minibatch at the post-step weights and feeds both the input-layer and
@@ -139,7 +142,7 @@ def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
 
     prox = (config.mu, global_net) if config.mu > 0 else None
     velocity = None
-    n = len(y)
+    n = len(rows)
     batch = min(config.batch_size, n)
 
     for q in range(1, config.local_epochs + 1):
@@ -149,7 +152,7 @@ def local_train(X: np.ndarray, y: np.ndarray, global_net: SparseNetwork,
         rng = np.random.default_rng([config.seed, r, q])
         order = rng.permutation(n)
         for start in range(0, n, batch):
-            sel = order[start:start + batch]
+            sel = rows[order[start:start + batch]]
             xb, yb = X[sel], y[sel]
             _, cache = forward(net, xb)
             grads = backward(net, cache, yb)
@@ -299,11 +302,16 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     """Full federated run; returns (server, per-round metrics, selection).
 
     Each round the server fixes the neuron schedule once, the selected
-    clients train on copies of their shard rows in a thread pool of
-    config.workers threads (default one per client), and the server
-    aggregates and resparsifies. Every client draws its randomness from
-    (seed, round, epoch) and aggregation walks clients in id order, so
-    results do not depend on the thread count or on scheduling.
+    clients train in a thread pool of config.workers threads (default one
+    per client), and the server aggregates and resparsifies. Every client
+    draws its randomness from (seed, round, epoch) and aggregation walks
+    clients in id order, so results do not depend on the thread count or
+    on scheduling.
+
+    What stays resident is the one normalized matrix in `data`, which
+    every client indexes through its shard, plus the evaluator's copy of
+    the test rows, the global model and one round of client networks:
+    those are released once they are aggregated.
     """
     config.validate()
     if data.n_clients != config.clients:
@@ -332,8 +340,6 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                           f"{survivors * dims[1]} positions")
     server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
 
-    clients = [data.shard_xy(m) for m in range(data.n_clients)]
-
     recorder = MetricsRecorder(data.test_xy(), config.batch_size, config.local_epochs)
     metrics: list[RoundMetrics] = []
 
@@ -355,14 +361,16 @@ def run_training(config: FedConfig, data: PartitionedDataset):
             removed = server.global_removed
 
             def train_one(m: int) -> SparseNetwork:
-                return local_train(*clients[m], broadcast, counts, r, config, removed)
+                return local_train(ds.X, ds.y, data.shards[m], broadcast, counts, r, config,
+                                   removed)
 
             nets = list(pool.map(train_one, selected))
 
             drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
 
-            sizes = [len(clients[m][1]) for m in selected]
+            sizes = [len(data.shards[m]) for m in selected]
             aggregated = aggregate(zip(sizes, nets))
+            del nets
             if config.feature_selection:
                 schedule.record(counts.n_remove)
             server.global_model = resparsify_and_reconcile(server, aggregated, config, r)

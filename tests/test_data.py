@@ -23,6 +23,8 @@ from dsffs.sparse_net import (
     sgd_step,
 )
 
+import reference_data
+
 
 class TestCsvLoader:
     def test_small_file(self, tmp_path):
@@ -180,6 +182,26 @@ class TestNormalize:
         assert np.all(np.abs(mu) < 1e-9)
         assert np.all(np.abs(sd - 1.0) < 1e-9)
 
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    @pytest.mark.parametrize("case", ["all rows", "non-contiguous subset", "one fit row",
+                                      "constant column", "one column"])
+    def test_bytes_match_reference(self, mode, case):
+        rng = np.random.default_rng(11)
+        X = rng.normal(3.0, 2.5, size=(60, 7))
+        fit_idx = {"non-contiguous subset": np.array([0, 3, 4, 10, 31, 57]),
+                   "one fit row": np.array([5])}.get(case)
+        if case == "constant column":
+            X[:, 2] = -1.25
+        elif case == "one column":
+            X = X[:, :1].copy()
+        before = X.copy()
+        out = normalize(Dataset(X, np.zeros(60, dtype=int)), mode, fit_idx=fit_idx).X
+        expected = reference_data.normalize(X, mode, fit_idx)
+        assert out.shape == expected.shape and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+        # the statistics are computed in place on a private copy
+        assert X.tobytes() == before.tobytes()
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(size=(50, 3)), np.zeros(50, dtype=int))
@@ -267,6 +289,15 @@ class TestSynthetic:
         ds = generate_synthetic(5, 20, 50, 3, seed=2)
         assert ds.X.flags.c_contiguous
         assert normalize(ds, mode).X.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(5, 20, 50, 3, 2, 1.0), (3, 0, 10, 2, 7, 1.0),
+                                       (1, 7, 13, 4, 0, 0.5)])
+    def test_matches_reference(self, shape):
+        ds = generate_synthetic(*shape)
+        X, y, informative_idx = reference_data.generate_synthetic(*shape)
+        assert ds.X.tobytes() == X.tobytes() and ds.X.shape == X.shape
+        assert np.array_equal(ds.y, y)
+        assert ds.meta["informative_idx"] == informative_idx.tolist()
 
     def test_linear_head_fits_clean_data(self):
         # engine-only sanity: a dense softmax layer reaches >0.9 train

@@ -232,8 +232,8 @@ class TestLocalTrain:
         return net, sched
 
     def train(self, parts, net, sched, r, config):
-        return local_train(*parts.shard_xy(0), net, compute_schedule(sched, r), r, config,
-                           np.zeros(6, dtype=bool))
+        return local_train(parts.data.X, parts.data.y, parts.shards[0], net,
+                           compute_schedule(sched, r), r, config, np.zeros(6, dtype=bool))
 
     def test_zero_epochs_returns_model_unchanged(self):
         parts = tiny_partition()
@@ -327,8 +327,8 @@ class TestRunTraining:
         sched = InputSchedule(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds)
         outs = []
         for m in range(2):
-            outs.append(local_train(*parts.shard_xy(m), net, compute_schedule(sched, 1), 1, cfg,
-                                    np.zeros(6, dtype=bool)))
+            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, compute_schedule(sched, 1),
+                                    1, cfg, np.zeros(6, dtype=bool)))
         agg = aggregate([(12, outs[0]), (12, outs[1])])
         for lo, la in zip(outs[0].layers, agg.layers):
             shared = lo.mask & la.mask

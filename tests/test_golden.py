@@ -8,7 +8,9 @@ variants cover the distinct training branches: the desk config as is
 (input selection on, no proximal term), selection off (layer 0 runs plain
 DST on the dense input-layer gradient), FedProx (mu > 0, the proximal
 branch of the SGD step) and three kept features (layer 0's connected rows
-run out of free positions, so its regrow takes the shortfall path). The
+run out of free positions, so its regrow takes the shortfall path). A
+fifth covers the data path: zscore normalization, whose statistics and
+output `data.normalize` builds in place. The
 digests hold for a given numpy/BLAS build and CPU; re-record them only
 when the platform changes, never to absorb a change in what the program
 computes.
@@ -84,4 +86,12 @@ def test_regrow_shortfall_run_matches_recorded_hashes(tmp_path):
         "metrics.csv": "cfbfbd567bc5ac5b9bebcaf9fffd1a31be6c03374efef4a1cdf60cce291a944a",
         "selected_features.json":
             "b095c598a7c4ad0c72db4080d6e6c928735df37a376e03ac3b5de0310d79b34d",
+    }
+
+
+def test_zscore_run_matches_recorded_hashes(tmp_path):
+    assert run_desk(tmp_path, rounds=3, normalize="zscore") == {
+        "metrics.csv": "7958b74433878ef1c18d6a4cbd9490a31754702a74e792eea4a5e0827a012556",
+        "selected_features.json":
+            "20201ccf399788f9463a52af47a9ce38506f653c1659379b0de79c259370e256",
     }

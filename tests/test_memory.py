@@ -1,0 +1,81 @@
+"""Memory regressions: how many copies of the data and of the client networks live at once.
+
+tracemalloc counts numpy's array allocations on any platform, so the data
+path's peak is measured in bytes against the matrix it builds. During
+training, clients must gather from the one normalized matrix, and a
+round's client networks must be gone before the next round trains.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from dsffs import cli, fed_core
+from dsffs.fed_core import FedConfig, run_training
+
+from test_fed_core import tiny_partition
+
+
+@pytest.mark.parametrize("mode", ["minmax", "zscore"])
+def test_prepare_holds_at_most_two_matrices(mode):
+    # a 2000 x 650 float64 matrix, about 10 MB
+    cfg = cli.ExperimentConfig(n_informative=10, n_noise=640, n_samples=2000,
+                               normalize=mode, clients=4)
+    # a first call in the process pays for lazy set-up (about 0.7 MB) that
+    # is not the data path
+    cli.prepare(cli.ExperimentConfig(n_informative=2, n_noise=3, n_samples=20,
+                                     normalize=mode, clients=2))
+    tracemalloc.start()
+    try:
+        parts = cli.prepare(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parts.data.X.nbytes == 2000 * 650 * 8
+    assert peak <= 2.1 * parts.data.X.nbytes, peak / parts.data.X.nbytes
+
+
+def cfg(**kw):
+    base = dict(hidden_dims=[5], clients=3, rounds=3, sparsity=0.5, k_features=2,
+                local_epochs=2, batch_size=4, seed=0, lr=0.05, zeta=0.2, beta=0.5)
+    base.update(kw)
+    return FedConfig(**base)
+
+
+def test_clients_index_the_shared_matrix(monkeypatch):
+    parts = tiny_partition(m=3)
+    seen = []
+    real = fed_core.local_train
+
+    def spy(X, y, rows, *rest):
+        seen.append((X, y, rows))
+        return real(X, y, rows, *rest)
+
+    monkeypatch.setattr(fed_core, "local_train", spy)
+    run_training(cfg(), parts)
+    assert len(seen) == 3 * 3
+    for k, (X, y, rows) in enumerate(seen):
+        assert X is parts.data.X and y is parts.data.y
+        assert rows is parts.shards[k % 3]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_round_client_networks_released_before_next_round(monkeypatch, workers):
+    parts = tiny_partition(m=3)
+    returned = []          # (round, weakref to a client network)
+    alive_at_start = []
+    real = fed_core.local_train
+
+    def spy(X, y, rows, global_net, counts, r, *rest):
+        alive_at_start.extend((r, q) for q, ref in returned if q < r and ref() is not None)
+        net = real(X, y, rows, global_net, counts, r, *rest)
+        returned.append((r, weakref.ref(net)))
+        return net
+
+    monkeypatch.setattr(fed_core, "local_train", spy)
+    run_training(cfg(workers=workers), parts)
+    assert len(returned) == 3 * 3
+    assert alive_at_start == []
+    assert np.all([ref() is None for _, ref in returned])
