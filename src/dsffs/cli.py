@@ -2,8 +2,8 @@
 
 Configs are flat key: value files (YAML syntax, one level deep). Every
 unset key resolves to a documented default and the fully resolved config
-is echoed next to the outputs, so a run is reproducible from its output
-directory alone.
+is written next to the outputs by the same YAML library that reads it, so
+it loads back and a run is reproducible from its output directory alone.
 
 Exit codes: 0 ok, 2 configuration error, 3 runtime error.
 """
@@ -128,13 +128,6 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, value, _KINDS[key]))
-
-    env_seed = os.environ.get("DSFFS_SEED")
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"DSFFS_SEED must be an integer, got {env_seed!r}") from None
     _validate(cfg)
     return cfg
 
@@ -145,29 +138,18 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.dataset != "synthetic":
         if not cfg.path:
             raise ConfigError(f"dataset {cfg.dataset!r} requires a path")
-        # only idx names two files; a comma in any other path is part of it
-        paths = cfg.path.split(",") if cfg.dataset == "idx" else [cfg.path]
+        # only idx names two files, each stripped as its loader strips it; a
+        # comma or blank in any other path is part of it
+        paths = ([p.strip() for p in cfg.path.split(",")] if cfg.dataset == "idx"
+                 else [cfg.path])
         for part in paths:
-            if not os.path.exists(part.strip()):
-                raise ConfigError(f"dataset file not found: {part.strip()}")
+            if not os.path.exists(part):
+                raise ConfigError(f"dataset file not found: {part}")
     if cfg.normalize not in ("minmax", "zscore", "none"):
         raise ConfigError(f"unknown normalize mode {cfg.normalize!r}")
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     cfg.validate()
-
-
-def resolved_lines(cfg: ExperimentConfig) -> str:
-    parts = []
-    for name, value in sorted(asdict(cfg).items()):
-        if isinstance(value, list):
-            value = "[" + ", ".join(str(v) for v in value) + "]"
-        elif value is None:
-            value = "null"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        parts.append(f"{name}: {value}")
-    return "\n".join(parts) + "\n"
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -194,7 +176,9 @@ def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
 def write_resolved_config(cfg: ExperimentConfig) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(resolved_lines(cfg))
+        # the library that reads configs quotes what it would misread
+        yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=None,
+                       width=math.inf)
 
 
 def write_metrics_csv(path: str, metrics: list[RoundMetrics]) -> None:
@@ -300,28 +284,16 @@ def _histogram_line(y: np.ndarray, n_classes: int) -> str:
 
 
 def cmd_inspect(args) -> int:
-    if args.dataset.startswith("synthetic"):
-        cfg = ExperimentConfig()
-        ds = build_dataset(cfg)
-    else:
-        if ":" not in args.dataset:
-            raise ConfigError("dataset spec must look like format:path (or 'synthetic')")
-        fmt, path = args.dataset.split(":", 1)
-        ds = load_dataset(path, fmt, label_column=args.label_column)
+    """Print the dataset and the client partition a run of this config trains on."""
+    parts = prepare(load_config(args.config))
+    ds = parts.data
     print(f"name: {ds.name}")
     print(f"N={ds.n} D={ds.d} C={ds.n_classes}")
     print("class histogram:", _histogram_line(ds.y, ds.n_classes))
-    if args.partition:
-        try:
-            m_s, alpha_s, seed_s = args.partition.split(",")
-            m, alpha, seed = int(m_s), float(alpha_s), int(seed_s)
-        except ValueError:
-            raise ConfigError("--partition must look like M,alpha,seed") from None
-        parts = partition_noniid(ds, m, alpha, seed)
-        print(f"test split: {len(parts.test)} samples")
-        for k, shard in enumerate(parts.shards):
-            print(f"shard {k}: {len(shard)} samples |",
-                  _histogram_line(ds.y[shard], ds.n_classes))
+    print(f"test split: {len(parts.test)} samples")
+    for k, shard in enumerate(parts.shards):
+        print(f"shard {k}: {len(shard)} samples |",
+              _histogram_line(ds.y[shard], ds.n_classes))
     return EXIT_OK
 
 
@@ -346,11 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=cmd_figure1)
 
-    p_ins = sub.add_parser("inspect", help="print dataset and partition stats")
-    p_ins.add_argument("--dataset", required=True,
-                       help="'synthetic' or format:path (csv:..., idx:img,lbl, libsvm:...)")
-    p_ins.add_argument("--label-column", default=None)
-    p_ins.add_argument("--partition", default=None, metavar="M,alpha,seed")
+    p_ins = sub.add_parser("inspect", help="print the dataset and partition a run trains on")
+    p_ins.add_argument("--config", required=True)
     p_ins.set_defaults(func=cmd_inspect)
     return parser
 

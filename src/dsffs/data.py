@@ -3,9 +3,9 @@
 Loaders return row-major float feature matrices with integer labels
 remapped densely onto 0..C-1. Partitioning produces index sets (never
 copies) over one train split plus a held-out test split. What stays
-resident through training is one normalized matrix plus a copy of the
-test rows: clients gather their minibatches from that matrix through
-their shard index. Building it holds at most two matrices at once
+resident through training is one normalized matrix: clients gather their
+minibatches, and the evaluator its test batches, from that matrix through
+an index. Building it holds at most two matrices at once
 (`normalize`'s input and output).
 """
 
@@ -58,14 +58,18 @@ class PartitionedDataset:
     def n_clients(self) -> int:
         return len(self.shards)
 
-    def test_xy(self):
-        return self.data.X[self.test], self.data.y[self.test]
-
 
 def _dense_labels(raw: list) -> np.ndarray:
-    """Remap arbitrary label values onto 0..C-1 (numeric order if possible)."""
+    """Remap arbitrary label values onto 0..C-1 (numeric order if possible).
+
+    Numeric labels are keyed by their float value, so "1e3" and "1000" are
+    one class and "1.2" and "1.7" are two. A NaN equals no key, not even
+    itself, so labels that include one are keyed as strings.
+    """
     try:
-        values = [int(float(v)) for v in raw]
+        values = [float(v) for v in raw]
+        if np.isnan(values).any():
+            raise ValueError("NaN label")
         classes = sorted(set(values))
     except (TypeError, ValueError):
         values = [str(v) for v in raw]

@@ -136,14 +136,11 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     steady-state churn (equal prune/regrow, no net removal).
     """
     net = global_net.copy()
-    if config.local_epochs == 0:
-        return net
     removed = global_removed.copy()
 
     prox = (config.mu, global_net) if config.mu > 0 else None
     velocity = None
     n = len(rows)
-    batch = min(config.batch_size, n)
 
     for q in range(1, config.local_epochs + 1):
         # one shared shuffle stream per (seed, round, epoch): clients with
@@ -151,8 +148,9 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
         # preserves
         rng = np.random.default_rng([config.seed, r, q])
         order = rng.permutation(n)
-        for start in range(0, n, batch):
-            sel = rows[order[start:start + batch]]
+        # range and the slice clamp a batch larger than the shard
+        for start in range(0, n, config.batch_size):
+            sel = rows[order[start:start + config.batch_size]]
             xb, yb = X[sel], y[sel]
             _, cache = forward(net, xb)
             grads = backward(net, cache, yb)
@@ -309,8 +307,8 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     on scheduling.
 
     What stays resident is the one normalized matrix in `data`, which
-    every client indexes through its shard, plus the evaluator's copy of
-    the test rows, the global model and one round of client networks:
+    every client indexes through its shard and the evaluator through the
+    test index, plus the global model and one round of client networks:
     those are released once they are aggregated.
     """
     config.validate()
@@ -340,7 +338,8 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                           f"{survivors * dims[1]} positions")
     server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
 
-    recorder = MetricsRecorder(data.test_xy(), config.batch_size, config.local_epochs)
+    recorder = MetricsRecorder((ds.X, ds.y), data.test, config.batch_size,
+                               config.local_epochs)
     metrics: list[RoundMetrics] = []
 
     with ThreadPoolExecutor(max_workers=config.workers or config.clients) as pool:

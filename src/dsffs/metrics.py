@@ -49,19 +49,21 @@ class RoundMetrics:
         )
 
 
-def accuracy(net: SparseNetwork, test) -> float:
-    """Fraction of argmax-correct predictions on an (X, y) pair.
+def accuracy(net: SparseNetwork, data, rows: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions on rows `rows` of an (X, y) pair.
 
-    Ties go to the lowest class.
+    Each evaluation batch gathers its rows of X, so the evaluated rows are
+    never copied as a whole. Ties go to the lowest class.
     """
-    X, y = test
-    if len(y) == 0:
+    X, y = data
+    if len(rows) == 0:
         raise ValueError("test set is empty")
     correct = 0
-    for start in range(0, len(y), EVAL_BATCH):
-        logits, _ = forward(net, X[start:start + EVAL_BATCH])
-        correct += int((np.argmax(logits, axis=1) == y[start:start + EVAL_BATCH]).sum())
-    return correct / len(y)
+    for start in range(0, len(rows), EVAL_BATCH):
+        sel = rows[start:start + EVAL_BATCH]
+        logits, _ = forward(net, X[sel])
+        correct += int((np.argmax(logits, axis=1) == y[sel]).sum())
+    return correct / len(rows)
 
 
 def inference_flops(nnz_per_layer, bias_units_per_layer=None) -> int:
@@ -89,11 +91,13 @@ def upload_cost_bits(n_params: int, sparsity: float) -> int:
 class MetricsRecorder:
     """Accumulates per-round metrics and the cumulative cost counters.
 
-    Upload is charged per participating client per round.
+    Upload is charged per participating client per round. Accuracy is
+    evaluated on rows `test_rows` of the (X, y) pair `data`.
     """
 
-    def __init__(self, test_xy, batch_size: int, local_epochs: int):
-        self.test_xy = test_xy
+    def __init__(self, data, test_rows: np.ndarray, batch_size: int, local_epochs: int):
+        self.data = data
+        self.test_rows = test_rows
         self.batch_size = batch_size
         self.local_epochs = local_epochs
         self.cumulative_flops = 0
@@ -115,7 +119,7 @@ class MetricsRecorder:
             batches = math.ceil(n_m / self.batch_size)
             self.cumulative_flops += self.local_epochs * batches * self.batch_size * train_cost
             self.cumulative_upload_bits += per_model_bits
-        acc = accuracy(net, self.test_xy)
+        acc = accuracy(net, self.data, self.test_rows)
         connected = int(net.layers[0].mask.any(axis=1).sum())
         return RoundMetrics(
             round=server.round,

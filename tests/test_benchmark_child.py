@@ -25,7 +25,7 @@ TINY = {
 def test_traced_child_run_reports_no_problems(tmp_path):
     # JSON is flow-style YAML, which is what load_config parses
     (tmp_path / "config.yaml").write_text(json.dumps(TINY) + "\n", encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "DSFFS_SEED"}
+    env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))

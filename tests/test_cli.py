@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import os
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsffs.cli import (
     EXIT_CONFIG,
@@ -12,11 +17,20 @@ from dsffs.cli import (
     ExperimentConfig,
     load_config,
     main,
-    resolved_lines,
+    prepare,
+    write_resolved_config,
 )
 from dsffs.sparse_net import ConfigError
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((REPO / "configs").glob("*.yaml"))
+_spec = importlib.util.spec_from_file_location("workloads", REPO / "roundbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# one path component: any text a file system takes that stays inside the cwd
+FILE_NAMES = st.text(min_size=1, max_size=40).filter(
+    lambda s: "/" not in s and "\x00" not in s and s not in (".", ".."))
 
 TINY = """\
 dataset: synthetic
@@ -77,11 +91,6 @@ class TestConfigParsing:
         assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DSFFS_SEED", "777")
-        cfg = load_config(write_cfg(tmp_path))
-        assert cfg.seed == 777
-
     @pytest.mark.parametrize("line", [
         "rounds: .inf", "mu: .nan", "dirichlet_alpha: .nan", "lr: -.inf",
         "k_features: .nan", "workers: .inf", "n_features: -.inf", "lr: nan",
@@ -104,10 +113,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'lr' must be a number"):
             load_config(p)
 
-    @pytest.mark.parametrize("source", CONFIGS + ["lr: 1e-5"],
+    @pytest.mark.parametrize("source", CONFIGS + ["lr: 1e-5"] + sorted(workloads.WORKLOADS),
                              ids=lambda s: getattr(s, "name", s))
     def test_resolved_config_loads_back(self, tmp_path, monkeypatch, source):
-        monkeypatch.delenv("DSFFS_SEED", raising=False)
         monkeypatch.chdir(tmp_path)
         if isinstance(source, Path):
             p = str(source)
@@ -116,12 +124,53 @@ class TestConfigParsing:
             for part in path.split(",") if path else []:
                 (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
                 (tmp_path / part).touch()
+        elif source in workloads.WORKLOADS:
+            # a benchmark workload, written the way roundbench/run.py writes it
+            p = write_cfg(tmp_path, json.dumps(dict(workloads.WORKLOADS[source], seed=1)))
         else:
             p = write_cfg(tmp_path, TINY + source + "\n")
         cfg = load_config(p)
-        again = load_config(write_cfg(tmp_path, resolved_lines(cfg), "config.resolved"))
+        write_resolved_config(cfg)
+        written = Path(cfg.out_dir, "config.resolved")
+        text = written.read_text(encoding="utf-8")
+        again = load_config(str(written))
         assert again == cfg
-        assert resolved_lines(again) == resolved_lines(cfg)
+        write_resolved_config(again)
+        assert written.read_text(encoding="utf-8") == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(out_dir=st.none() | FILE_NAMES, path=st.none() | FILE_NAMES,
+           label_column=st.none() | st.text(max_size=150),
+           lr=st.floats(min_value=1e-300, max_value=1e300),
+           separation=st.floats(allow_nan=False, allow_infinity=False),
+           test_fraction=st.floats(min_value=0.0, max_value=1.0,
+                                   exclude_min=True, exclude_max=True))
+    @example(out_dir="a: b", path="x #1", label_column="true", lr=1e-5,
+             separation=1.0, test_fraction=0.2)
+    @example(out_dir="012", path="null", label_column="-", lr=0.1,
+             separation=-0.0, test_fraction=1e-5)
+    @example(out_dir=None, path=None, label_column=None, lr=0.1,
+             separation=1.0, test_fraction=0.2)
+    def test_resolved_config_round_trip(self, out_dir, path, label_column, lr,
+                                        separation, test_fraction):
+        # drawn keys are relative names inside a scratch working directory
+        keys = dict(label_column=label_column, lr=lr, separation=separation,
+                    test_fraction=test_fraction)
+        if out_dir is not None:
+            keys["out_dir"] = out_dir
+        if path is not None and path != out_dir:
+            keys.update(dataset="csv", path=path)
+        cfg = ExperimentConfig(**keys)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                if cfg.path is not None:
+                    Path(cfg.path).touch()       # the path check looks for it
+                write_resolved_config(cfg)
+                assert load_config(os.path.join(cfg.out_dir, "config.resolved")) == cfg
+            finally:
+                os.chdir(cwd)
 
     def test_comma_in_csv_path(self, tmp_path):
         data = tmp_path / "toy,v2.csv"
@@ -129,6 +178,14 @@ class TestConfigParsing:
         p = write_cfg(tmp_path, TINY.replace(
             "dataset: synthetic", f"dataset: csv\npath: '{data}'"))
         assert load_config(p).path == str(data)
+
+    def test_csv_path_checked_as_loaded(self, tmp_path):
+        # the csv loader opens the path as written, blanks included
+        (tmp_path / "toy.csv").write_text("a,label\n1,0\n2,1\n")
+        p = write_cfg(tmp_path, TINY.replace(
+            "dataset: synthetic", f"dataset: csv\npath: '{tmp_path}/toy.csv '"))
+        with pytest.raises(ConfigError, match="not found"):
+            load_config(p)
 
     def test_idx_path_names_two_files(self, tmp_path):
         images = tmp_path / "images.gz"
@@ -138,12 +195,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="labels.gz"):
             load_config(p)
 
-    def test_resolved_lines_cover_every_key(self, tmp_path):
+    def test_resolved_config_covers_every_key(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
-        text = resolved_lines(cfg)
-        from dataclasses import fields
-        for f in fields(ExperimentConfig):
-            assert f"{f.name}:" in text
+        cfg.out_dir = str(tmp_path / "out")
+        write_resolved_config(cfg)
+        written = yaml.safe_load((tmp_path / "out" / "config.resolved").read_text("utf-8"))
+        assert sorted(written) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 class TestCmdRun:
@@ -235,28 +292,30 @@ class TestCmdFigure1:
 
 
 class TestCmdInspect:
-    def test_synthetic_dims(self, capsys):
-        assert main(["inspect", "--dataset", "synthetic"]) == EXIT_OK
+    def test_synthetic_dims(self, tmp_path, capsys):
+        assert main(["inspect", "--config", write_cfg(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
-        cfg = ExperimentConfig()
-        assert f"D={cfg.n_informative + cfg.n_noise}" in out
+        assert "N=120 D=12 C=2" in out
 
     def test_csv_with_partition(self, tmp_path, capsys):
-        p = tmp_path / "toy.csv"
+        data = tmp_path / "toy.csv"
         rows = ["a,b,label"] + [f"{i},{i * 2},{i % 2}" for i in range(40)]
-        p.write_text("\n".join(rows) + "\n")
-        assert main(["inspect", "--dataset", f"csv:{p}",
-                     "--partition", "2,0.5,3"]) == EXIT_OK
-        out = capsys.readouterr().out
+        data.write_text("\n".join(rows) + "\n")
+        p = write_cfg(tmp_path, TINY.replace("dataset: synthetic", f"dataset: csv\npath: {data}"))
+        assert main(["inspect", "--config", p]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
         assert "N=40 D=2 C=2" in out
-        shard_sizes = [int(line.split()[2]) for line in out.splitlines()
-                       if line.startswith("shard")]
-        test_size = [int(line.split()[2]) for line in out.splitlines()
-                     if line.startswith("test split")][0]
-        assert sum(shard_sizes) + test_size == 40
+        # the partition printed is the one a run of this config trains on
+        parts = prepare(load_config(p))
+        assert f"test split: {len(parts.test)} samples" in out
+        shard_sizes = [int(line.split()[2]) for line in out if line.startswith("shard")]
+        assert shard_sizes == [len(shard) for shard in parts.shards]
 
     def test_bad_partition_spec(self, tmp_path):
-        p = tmp_path / "toy.csv"
-        p.write_text("a,label\n1,0\n2,1\n")
-        assert main(["inspect", "--dataset", f"csv:{p}",
-                     "--partition", "nope"]) == EXIT_CONFIG
+        p = write_cfg(tmp_path, TINY + "dirichlet_alpha: 0\n")
+        assert main(["inspect", "--config", p]) == EXIT_CONFIG
+
+    def test_missing_dataset_file_is_config_error(self, tmp_path):
+        p = write_cfg(tmp_path, TINY.replace(
+            "dataset: synthetic", f"dataset: csv\npath: {tmp_path}/absent.csv"))
+        assert main(["inspect", "--config", p]) == EXIT_CONFIG

@@ -54,6 +54,15 @@ class TestCsvLoader:
         with pytest.raises(DataFormatError, match="label"):
             load_csv(p, label_column="target")
 
+    def test_numeric_labels_keyed_by_value(self, tmp_path):
+        # fractional classes stay apart; spellings of one number are one class
+        p = tmp_path / "labels.csv"
+        p.write_text("a,label\n1,1.2\n2,1.7\n3,2\n4,1e3\n5,1000\n")
+        assert np.array_equal(load_csv(p).y, [0, 1, 2, 3, 3])
+        # NaN equals nothing as a float key; as a string it is one class
+        p.write_text("a,label\n1,nan\n2,0\n3,nan\n")
+        assert np.array_equal(load_csv(p).y, [1, 0, 1])
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 4))

@@ -41,7 +41,7 @@ def run_desk(tmp_path, **keys):
             lines.append(line)
     text = "\n".join(lines) + "\n"
     (tmp_path / "desk.yaml").write_text(text, encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "DSFFS_SEED"}
+    env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
     # a relative --out keeps the echoed out_dir, and so the manifest, stable

@@ -2,8 +2,9 @@
 
 tracemalloc counts numpy's array allocations on any platform, so the data
 path's peak is measured in bytes against the matrix it builds. During
-training, clients must gather from the one normalized matrix, and a
-round's client networks must be gone before the next round trains.
+training, clients and the evaluator must gather from the one normalized
+matrix, and a round's client networks must be gone before the next round
+trains.
 """
 
 import tracemalloc
@@ -12,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dsffs import cli, fed_core
+from dsffs import cli, fed_core, metrics
 from dsffs.fed_core import FedConfig, run_training
 
 from test_fed_core import tiny_partition
@@ -59,6 +60,23 @@ def test_clients_index_the_shared_matrix(monkeypatch):
     for k, (X, y, rows) in enumerate(seen):
         assert X is parts.data.X and y is parts.data.y
         assert rows is parts.shards[k % 3]
+
+
+def test_evaluator_indexes_the_shared_matrix(monkeypatch):
+    parts = tiny_partition(m=3)
+    seen = []
+    real = metrics.accuracy
+
+    def spy(net, data, rows):
+        seen.append((data, rows))
+        return real(net, data, rows)
+
+    monkeypatch.setattr(metrics, "accuracy", spy)
+    run_training(cfg(), parts)
+    assert len(seen) == 3
+    for (X, y), rows in seen:
+        assert X is parts.data.X and y is parts.data.y
+        assert rows is parts.test
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsffs import metrics
 from dsffs.data import Dataset
 from dsffs.metrics import (
     MetricsRecorder,
@@ -10,7 +11,7 @@ from dsffs.metrics import (
     inference_flops,
     upload_cost_bits,
 )
-from dsffs.sparse_net import init_er_topology
+from dsffs.sparse_net import forward, init_er_topology
 
 from conftest import build_net
 
@@ -22,13 +23,13 @@ class TestAccuracy:
                         biases=[[1.0, 0.0]])
         y = np.array([0] * 60 + [1] * 40)
         X = np.random.default_rng(0).normal(size=(100, 2))
-        assert accuracy(net, (X, y)) == pytest.approx(0.6)
+        assert accuracy(net, (X, y), np.arange(100)) == pytest.approx(0.6)
 
     def test_perfect_logits(self):
         net = build_net([np.eye(3)])
         y = np.array([0, 1, 2, 1])
         X = np.eye(3)[y]
-        assert accuracy(net, (X, y)) == 1.0
+        assert accuracy(net, (X, y), np.arange(4)) == 1.0
 
     def test_random_logits_near_chance(self):
         rng = np.random.default_rng(11)
@@ -36,19 +37,30 @@ class TestAccuracy:
         net = build_net([w], masks=[np.ones((20, 10), bool)])
         X = rng.normal(size=(1000, 20))
         y = rng.integers(0, 10, size=1000)
-        acc = accuracy(net, (X, y))
+        acc = accuracy(net, (X, y), np.arange(1000))
         assert abs(acc - 0.1) <= 0.02
 
     def test_argmax_tie_lowest_class(self):
         net = build_net([np.zeros((2, 3))], masks=[np.ones((2, 3), bool)])
         X = np.zeros((5, 2))
-        assert accuracy(net, (X, np.zeros(5, dtype=int))) == 1.0
-        assert accuracy(net, (X, np.ones(5, dtype=int))) == 0.0
+        assert accuracy(net, (X, np.zeros(5, dtype=int)), np.arange(5)) == 1.0
+        assert accuracy(net, (X, np.ones(5, dtype=int)), np.arange(5)) == 0.0
 
     def test_empty_test_rejected(self):
         net = build_net([np.eye(2)])
         with pytest.raises(ValueError):
-            accuracy(net, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            accuracy(net, (np.eye(2), np.arange(2)), np.arange(0))
+
+    def test_batches_gather_only_the_given_rows(self, monkeypatch):
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 7)
+        rng = np.random.default_rng(5)
+        net = build_net([rng.normal(size=(4, 3))])
+        X = rng.normal(size=(100, 4))
+        y = rng.integers(0, 3, size=100)
+        rows = np.sort(rng.choice(100, size=30, replace=False))
+        logits, _ = forward(net, X[rows])
+        hits = int((np.argmax(logits, axis=1) == y[rows]).sum())
+        assert accuracy(net, (X, y), rows) == hits / 30
 
 
 class TestFlops:
@@ -110,7 +122,7 @@ class TestRecordRound:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, net.layers[0].rows))
         y = rng.integers(0, net.layers[-1].cols, size=40)
-        return MetricsRecorder((X, y), batch, epochs)
+        return MetricsRecorder((X, y), np.arange(40), batch, epochs)
 
     def test_no_participants_no_cost(self):
         net = init_er_topology([6, 4, 2], 0.5, seed=0)
