@@ -23,6 +23,7 @@ import yaml
 
 from .data import (
     Dataset,
+    _normalize_in_place,
     generate_synthetic,
     load_dataset,
     normalize,
@@ -161,15 +162,23 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
-    """Dataset -> normalized, partitioned dataset ready for run_training."""
-    if ds is None:
+    """Dataset -> normalized, partitioned dataset ready for run_training.
+
+    A dataset built here is normalized in place; a caller's `ds` is left
+    untouched (figure1 trains two runs on one).
+    """
+    owned = ds is None
+    if owned:
         ds = build_dataset(cfg)
     parts = partition_noniid(ds, cfg.clients, cfg.dirichlet_alpha, cfg.seed,
                              test_fraction=cfg.test_fraction)
     if cfg.normalize != "none":
         train_idx = np.sort(np.concatenate(parts.shards))
-        normed = normalize(ds, cfg.normalize, fit_idx=train_idx)
-        parts = type(parts)(normed, parts.shards, parts.test)
+        if owned:
+            _normalize_in_place(ds.X, cfg.normalize, train_idx)
+        else:
+            parts = type(parts)(normalize(ds, cfg.normalize, fit_idx=train_idx),
+                                parts.shards, parts.test)
     return parts
 
 

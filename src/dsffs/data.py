@@ -5,8 +5,9 @@ remapped densely onto 0..C-1. Partitioning produces index sets (never
 copies) over one train split plus a held-out test split. What stays
 resident through training is one normalized matrix: clients gather their
 minibatches, and the evaluator its test batches, from that matrix through
-an index. Building it holds at most two matrices at once
-(`normalize`'s input and output).
+an index. Building it holds one matrix: `generate_synthetic` draws into
+the matrix it returns, and `cli.prepare` normalizes the matrix it built in
+place. Both work on about `CHUNK_BYTES` of rows at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sparse_net import ConfigError
+
+# Bytes of rows drawn, permuted or gathered per step of the data path. Small
+# next to any matrix worth chunking, and small enough that freeing a chunk
+# leaves glibc's mmap threshold where training's own arrays put it: 10 MB
+# chunks raised it and kept about 11 MB more resident through a 2000 x 5000
+# run.
+CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows of a d-column float64 matrix per chunk: at least one."""
+    return max(1, CHUNK_BYTES // (8 * d))
 
 
 class DataFormatError(ValueError):
@@ -150,7 +163,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if n_labels != n_images:
         raise DataFormatError(f"{labels_path}: {n_labels} labels for {n_images} images")
     X = pixels.reshape(n_images, n_rows * n_cols).astype(float)
-    return Dataset(X, labels.astype(np.int64), name=str(images_path))
+    _, y = np.unique(labels, return_inverse=True)
+    return Dataset(X, y.astype(np.int64), name=str(images_path))
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
@@ -212,34 +226,66 @@ def normalize(ds: Dataset, mode: str = "minmax", fit_idx=None) -> Dataset:
     """Per-feature normalization; statistics from rows `fit_idx` (default all).
 
     minmax maps each feature to [0, 1]; zscore to mean 0, sd 1. Constant
-    features map to 0 under both modes. The statistics come from one
-    private copy of the fit rows, which is released before the output is
-    built in place, so at most the input and one matrix-sized array are
-    held at once.
+    features map to 0 under both modes. Returns a new Dataset and leaves
+    `ds` untouched: a copy of the matrix, normalized in place.
+    """
+    X = ds.X.copy()
+    _normalize_in_place(X, mode, fit_idx)
+    return Dataset(X, ds.y.copy(), name=ds.name,
+                   feature_names=ds.feature_names, meta=dict(ds.meta))
+
+
+def _fold(ufuncs, X: np.ndarray, rows: np.ndarray, center=None) -> list[np.ndarray]:
+    """`[u.reduce(X[rows], axis=0) for u in ufuncs]`, to the bit, one chunk at a time.
+
+    With `center`, the rows are first replaced by their squared deviations
+    from it. numpy reduces axis 0 of a row-major block one row after
+    another, so each chunk's first row is seeded with the result so far;
+    combining per-chunk results instead would move the last bits of sums.
+    A one-column block is reduced pairwise along its contiguous axis, so it
+    is gathered whole.
+    """
+    step = _chunk_rows(X.shape[1]) if X.shape[1] > 1 else len(rows)
+    accs = [None] * len(ufuncs)
+    for start in range(0, len(rows), step):
+        chunk = X[rows[start:start + step]]
+        if center is not None:
+            np.square(np.subtract(chunk, center, out=chunk), out=chunk)
+        first = chunk[0].copy()
+        for k, ufunc in enumerate(ufuncs):
+            if accs[k] is None:
+                chunk[0] = first
+            else:
+                ufunc(accs[k], first, out=chunk[0])
+            accs[k] = ufunc.reduce(chunk, axis=0)
+        del chunk   # before the next gather: one chunk alive at a time
+    return accs
+
+
+def _normalize_in_place(X: np.ndarray, mode: str, fit_idx=None) -> None:
+    """`normalize` over X itself, copying one chunk of fit rows at a time.
+
+    The statistics are minmax's `min`/`max` or zscore's `np.mean`/`np.std`
+    (`sum / n`, then `sqrt(sum((x - mean)**2) / n)`), byte for byte.
     """
     if mode not in ("minmax", "zscore"):
         raise ConfigError(f"unknown normalization mode {mode!r}")
-    # fit_idx is an index array or mask, and advanced indexing always
-    # copies, so the in-place work below never touches ds.X
-    ref = ds.X.copy() if fit_idx is None else ds.X[fit_idx]
-    n = ref.shape[0]
+    # an index array or a mask, as row numbers in the order given
+    rows = np.arange(X.shape[0]) if fit_idx is None else np.arange(X.shape[0])[fit_idx]
+    n = len(rows)
     if n < 1:
         raise ValueError("cannot fit normalization on an empty split")
     if mode == "minmax":
-        center = ref.min(axis=0)
-        scale = ref.max(axis=0) - center
+        center, high = _fold((np.minimum, np.maximum), X, rows)
+        scale = high - center
     else:
-        # np.mean and np.std's own reductions, with the squared deviations
-        # written over the private copy: the same bytes, one temporary fewer
-        center = ref.sum(axis=0) / n
-        ref -= center
-        scale = np.sqrt(np.square(ref, out=ref).sum(axis=0) / n)
-    del ref
-    X = ds.X - center
+        [total] = _fold((np.add,), X, rows)
+        center = total / n
+        [squares] = _fold((np.add,), X, rows, center)
+        scale = np.sqrt(squares / n)
+    X -= center
     X /= np.where(scale == 0.0, 1.0, scale)
     X[:, scale == 0.0] = 0.0
-    return Dataset(X, ds.y.copy(), name=ds.name,
-                   feature_names=ds.feature_names, meta=dict(ds.meta))
 
 
 def stratified_split(ds: Dataset, test_fraction: float, seed: int):
@@ -316,15 +362,23 @@ def generate_synthetic(n_informative: int, n_noise: int, n_samples: int,
     means = np.empty((n_classes, n_informative))
     for f in range(n_informative):
         means[:, f] = levels[rng.permutation(n_classes)]
-    X_inf = means[y] + rng.standard_normal((n_samples, n_informative))
-    # both blocks die with the concatenation, before the permuted copy is
-    # made: at most two matrices at once
-    X = np.concatenate([X_inf, rng.standard_normal((n_samples, n_noise))], axis=1)
-    del X_inf
+    # the informative block, then the noise block, each drawn in row chunks
+    # straight into the one matrix: standard_normal fills row-major, so the
+    # chunks are one draw's values and leave the generator where one draw
+    # would
+    X = np.empty((n_samples, n_informative + n_noise))
+    step = _chunk_rows(n_informative + n_noise)
+    chunks = [(a, min(a + step, n_samples)) for a in range(0, n_samples, step)]
+    for a, b in chunks:
+        X[a:b, :n_informative] = means[y[a:b]] + rng.standard_normal((b - a, n_informative))
+    for a, b in chunks:
+        X[a:b, n_informative:] = rng.standard_normal((b - a, n_noise))
     perm = rng.permutation(n_informative + n_noise)
-    # np.take keeps the row-major layout; X[:, perm] would come back
-    # column-major and make every minibatch row gather strided
-    X = np.take(X, perm, axis=1)
+    # columns permuted in place a chunk at a time, so the matrix stays
+    # row-major (X[:, perm] would come back column-major and make every
+    # minibatch row gather strided)
+    for a, b in chunks:
+        X[a:b] = np.take(X[a:b], perm, axis=1)
     informative_idx = np.nonzero(perm < n_informative)[0]
     return Dataset(
         X, y, name=f"synthetic_{n_informative}+{n_noise}",

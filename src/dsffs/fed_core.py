@@ -290,8 +290,10 @@ def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> 
     """L2 distance between client and broadcast weights at jointly live positions."""
     total = 0.0
     for lc, lg in zip(client_net.layers, global_net.layers):
-        both = lc.mask & lg.mask
-        diff = (lc.weights - lg.weights)[both]
+        # a flat gather of the jointly live positions, in the order a
+        # boolean index would give them
+        both = np.flatnonzero(lc.mask & lg.mask)
+        diff = np.take(lc.weights, both) - np.take(lg.weights, both)
         total += float((diff * diff).sum())
     return math.sqrt(total)
 

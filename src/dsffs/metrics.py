@@ -17,7 +17,7 @@ import numpy as np
 
 from .sparse_net import SparseNetwork, forward
 
-EVAL_BATCH = 4096   # test rows per evaluation forward pass
+EVAL_BATCH = 256    # test rows per evaluation forward pass
 
 
 @dataclass

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from dsffs import data
 from dsffs.data import (
     DataFormatError,
     Dataset,
@@ -96,13 +97,22 @@ class TestIdxLoader:
     def test_roundtrip_plain_and_gzip(self, tmp_path):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, size=(10, 4, 3)).astype(np.uint8)
-        labels = rng.integers(0, 10, size=10).astype(np.uint8)
+        # every digit 0-9 occurs, as in MNIST, so the labels load as stored
+        labels = rng.permutation(10).astype(np.uint8)
         for gz in (False, True):
             img, lbl = write_idx_pair(tmp_path, images, labels, gz=gz)
             ds = load_idx(img, lbl)
             assert ds.n == 10 and ds.d == 12
             assert np.array_equal(ds.X, images.reshape(10, 12).astype(float))
             assert np.array_equal(ds.y, labels)
+
+    def test_labels_remapped_densely(self, tmp_path):
+        images = np.zeros((6, 2, 2))
+        img, lbl = write_idx_pair(tmp_path, images, np.array([7, 3, 3, 7, 7, 3]))
+        ds = load_idx(img, lbl)
+        assert ds.n_classes == 2
+        assert ds.y.dtype == np.int64
+        assert np.array_equal(ds.y, [1, 0, 0, 1, 1, 0])
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx3"
@@ -211,6 +221,24 @@ class TestNormalize:
         # the statistics are computed in place on a private copy
         assert X.tobytes() == before.tobytes()
 
+    # 60 rows: chunks of 1 and 3 divide them, 7 and 59 leave a short last one
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 59])
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_chunked_bytes_match_reference(self, monkeypatch, mode, chunk):
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk * 7 * 8)
+        rng = np.random.default_rng(12)
+        X = rng.normal(3.0, 2.5, size=(60, 7))
+        X[:, 2] = -1.25
+        fits = [None, np.array([0, 3, 4, 10, 31, 57]), rng.permutation(60)[:25],
+                rng.random(60) < 0.5]
+        for M in (X, X[:, :1].copy()):
+            for fit_idx in fits:
+                before = M.copy()
+                out = normalize(Dataset(M, np.zeros(60, dtype=int)), mode, fit_idx=fit_idx).X
+                expected = reference_data.normalize(M, mode, fit_idx)
+                assert out.tobytes() == expected.tobytes()
+                assert M.tobytes() == before.tobytes()
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(size=(50, 3)), np.zeros(50, dtype=int))
@@ -306,6 +334,18 @@ class TestSynthetic:
         X, y, informative_idx = reference_data.generate_synthetic(*shape)
         assert ds.X.tobytes() == X.tobytes() and ds.X.shape == X.shape
         assert np.array_equal(ds.y, y)
+        assert ds.meta["informative_idx"] == informative_idx.tolist()
+
+    # 50 rows: chunks of 1 divide them, 3, 7 and 12 leave a short last one
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 12])
+    @pytest.mark.parametrize("shape", [(5, 20, 50, 3, 2, 1.0), (3, 0, 50, 2, 7, 1.0)])
+    def test_chunked_matches_reference(self, monkeypatch, shape, chunk):
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk * (shape[0] + shape[1]) * 8)
+        ds = generate_synthetic(*shape)
+        X, y, informative_idx = reference_data.generate_synthetic(*shape)
+        assert ds.X.tobytes() == X.tobytes() and ds.X.flags.c_contiguous
+        assert np.array_equal(ds.y, y)
+        # the permutation is drawn after the chunked draws
         assert ds.meta["informative_idx"] == informative_idx.tolist()
 
     def test_linear_head_fits_clean_data(self):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from dsffs.data import Dataset, PartitionedDataset, generate_synthetic, partitio
 from dsffs.fed_core import (
     FedConfig,
     ServerState,
+    _shared_mask_drift,
     aggregate,
     local_train,
     resparsify_and_reconcile,
@@ -89,6 +91,39 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+class TestSharedMaskDrift:
+    @staticmethod
+    def boolean_index_drift(client_net, global_net):
+        """The drift as a boolean index over a full difference matrix."""
+        total = 0.0
+        for lc, lg in zip(client_net.layers, global_net.layers):
+            diff = (lc.weights - lg.weights)[lc.mask & lg.mask]
+            total += float((diff * diff).sum())
+        return math.sqrt(total)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_boolean_index(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(40, 12), (12, 6), (6, 3)]
+
+        def net():
+            return build_net([rng.normal(size=s) for s in shapes],
+                             masks=[rng.random(s) < 0.4 for s in shapes])
+
+        client, broadcast = net(), net()
+        got = _shared_mask_drift(client, broadcast)
+        assert got > 0.0
+        assert got.hex() == self.boolean_index_drift(client, broadcast).hex()
+
+    def test_empty_intersection(self):
+        rng = np.random.default_rng(7)
+        mask = rng.random((9, 4)) < 0.5
+        client = build_net([rng.normal(size=(9, 4))], masks=[mask])
+        broadcast = build_net([rng.normal(size=(9, 4))], masks=[~mask])
+        assert _shared_mask_drift(client, broadcast) == 0.0
+        assert self.boolean_index_drift(client, broadcast) == 0.0
 
 
 def make_server(dims, sparsity, seed, rounds=10, k=2, zeta=0.2, beta=0.5):

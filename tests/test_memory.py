@@ -14,28 +14,57 @@ import numpy as np
 import pytest
 
 from dsffs import cli, fed_core, metrics
+from dsffs.data import generate_synthetic
 from dsffs.fed_core import FedConfig, run_training
 
 from test_fed_core import tiny_partition
 
 
-@pytest.mark.parametrize("mode", ["minmax", "zscore"])
-def test_prepare_holds_at_most_two_matrices(mode):
-    # a 2000 x 650 float64 matrix, about 10 MB
-    cfg = cli.ExperimentConfig(n_informative=10, n_noise=640, n_samples=2000,
-                               normalize=mode, clients=4)
-    # a first call in the process pays for lazy set-up (about 0.7 MB) that
-    # is not the data path
-    cli.prepare(cli.ExperimentConfig(n_informative=2, n_noise=3, n_samples=20,
-                                     normalize=mode, clients=2))
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw while it ran)."""
     tracemalloc.start()
     try:
-        parts = cli.prepare(cfg)
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+# a 2000 x 650 float64 matrix, about 10 MB; a first call in the process
+# pays for lazy set-up (about 0.7 MB) that is not the data path
+SHAPE = dict(n_informative=10, n_noise=640, n_samples=2000)
+
+
+@pytest.mark.parametrize("mode", ["minmax", "zscore"])
+def test_prepare_holds_one_matrix(mode):
+    cfg = cli.ExperimentConfig(**SHAPE, normalize=mode, clients=4)
+    cli.prepare(cli.ExperimentConfig(n_informative=2, n_noise=3, n_samples=20,
+                                     normalize=mode, clients=2))
+    parts, peak = traced_peak(lambda: cli.prepare(cfg))
     assert parts.data.X.nbytes == 2000 * 650 * 8
-    assert peak <= 2.1 * parts.data.X.nbytes, peak / parts.data.X.nbytes
+    assert peak <= 1.3 * parts.data.X.nbytes, peak / parts.data.X.nbytes
+
+
+def test_generate_synthetic_holds_one_matrix():
+    generate_synthetic(2, 3, 20, 2, seed=1)
+    ds, peak = traced_peak(lambda: generate_synthetic(**SHAPE, n_classes=2, seed=1))
+    assert ds.X.nbytes == 2000 * 650 * 8
+    assert peak <= 1.2 * ds.X.nbytes, peak / ds.X.nbytes
+
+
+@pytest.mark.parametrize("mode", ["minmax", "zscore"])
+def test_prepare_leaves_a_callers_dataset_untouched(mode):
+    # figure1 trains two runs on one dataset; 300 rows span two chunks
+    cfg = cli.ExperimentConfig(n_informative=4, n_noise=30, n_samples=300,
+                               normalize=mode, clients=3)
+    ds = cli.build_dataset(cfg)
+    before = ds.X.copy()
+    parts = cli.prepare(cfg, ds)
+    assert ds.X.tobytes() == before.tobytes()
+    assert parts.data.X is not ds.X
+    # the same bytes as a dataset that prepare builds and normalizes in place
+    assert parts.data.X.tobytes() == cli.prepare(cfg).data.X.tobytes()
 
 
 def cfg(**kw):

@@ -62,6 +62,25 @@ class TestAccuracy:
         hits = int((np.argmax(logits, axis=1) == y[rows]).sum())
         assert accuracy(net, (X, y), rows) == hits / 30
 
+    def test_batch_size_does_not_change_accuracy(self, monkeypatch):
+        # an MNIST-shaped network on a 2400-row test split, evaluated in one
+        # batch and in 256-row batches
+        net = init_er_topology([784, 200, 200, 10], 0.8, seed=3)
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(3000, 784))
+        y = rng.integers(0, 10, size=3000)
+        rows = np.sort(rng.choice(3000, size=2400, replace=False))
+        accs = []
+        for batch in (4096, 256):
+            monkeypatch.setattr(metrics, "EVAL_BATCH", batch)
+            accs.append(accuracy(net, (X, y), rows))
+        assert accs[0] == accs[1]
+        # the predictions themselves agree, not only their count
+        whole = np.argmax(forward(net, X[rows])[0], axis=1)
+        batched = np.concatenate([np.argmax(forward(net, X[rows[a:a + 256]])[0], axis=1)
+                                  for a in range(0, 2400, 256)])
+        assert np.array_equal(whole, batched)
+
 
 class TestFlops:
     def test_two_per_mac_no_bias(self):
