@@ -21,14 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .data import (
-    Dataset,
-    _normalize_in_place,
-    generate_synthetic,
-    load_dataset,
-    normalize,
-    partition_noniid,
-)
+from .data import Dataset, generate_synthetic, load_dataset, normalize, partition_noniid
 from .fed_core import FedConfig, run_training
 from .metrics import RoundMetrics
 from .sparse_net import ConfigError
@@ -146,6 +139,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         for part in paths:
             if not os.path.exists(part):
                 raise ConfigError(f"dataset file not found: {part}")
+    if cfg.n_features is not None and cfg.n_features < 1:
+        raise ConfigError(f"n_features must be at least 1, got {cfg.n_features}")
     if cfg.normalize not in ("minmax", "zscore", "none"):
         raise ConfigError(f"unknown normalize mode {cfg.normalize!r}")
     if not 0.0 < cfg.test_fraction < 1.0:
@@ -164,21 +159,16 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
     """Dataset -> normalized, partitioned dataset ready for run_training.
 
-    A dataset built here is normalized in place; a caller's `ds` is left
-    untouched (figure1 trains two runs on one).
+    Builds the dataset unless given one. Either way its matrix is normalized
+    in place, with statistics from the training shards, and the partition
+    holds that same dataset: a caller's `ds` comes back normalized.
     """
-    owned = ds is None
-    if owned:
+    if ds is None:
         ds = build_dataset(cfg)
     parts = partition_noniid(ds, cfg.clients, cfg.dirichlet_alpha, cfg.seed,
                              test_fraction=cfg.test_fraction)
     if cfg.normalize != "none":
-        train_idx = np.sort(np.concatenate(parts.shards))
-        if owned:
-            _normalize_in_place(ds.X, cfg.normalize, train_idx)
-        else:
-            parts = type(parts)(normalize(ds, cfg.normalize, fit_idx=train_idx),
-                                parts.shards, parts.test)
+        normalize(ds, cfg.normalize, np.sort(np.concatenate(parts.shards)))
     return parts
 
 
@@ -239,21 +229,23 @@ def cmd_figure1(args) -> int:
         raise ConfigError("the figure1 study requires a synthetic dataset config")
     ds = build_dataset(cfg)
     informative = ds.meta["informative_idx"]
+    # taken before prepare normalizes ds; np.take keeps the columns row-major
+    original = Dataset(np.take(ds.X, informative, axis=1), ds.y.copy(),
+                       name=ds.name + "_original", meta=dict(ds.meta))
 
-    original = Dataset(ds.X[:, informative], ds.y.copy(), name=ds.name + "_original",
-                       meta=dict(ds.meta))
-
-    def run_one(dataset: Dataset, fs: bool):
+    def run_one(parts, fs: bool):
         sub = replace(cfg, feature_selection=fs,
-                      k_features=min(cfg.k_features, dataset.d))
-        return run_training(sub, prepare(sub, dataset))
+                      k_features=min(cfg.k_features, parts.data.d))
+        return run_training(sub, parts)
 
     log.info("figure1: training on informative features only (no selection)")
-    _, m_orig, _ = run_one(original, fs=False)
+    _, m_orig, _ = run_one(prepare(cfg, original), fs=False)
+    # run_training only reads its data: both noisy runs share one partition
+    noisy = prepare(cfg, ds)
     log.info("figure1: training on noisy features (no selection)")
-    _, m_noisy, _ = run_one(ds, fs=False)
+    _, m_noisy, _ = run_one(noisy, fs=False)
     log.info("figure1: training on noisy features with selection")
-    _, m_fs, selection = run_one(ds, fs=True)
+    _, m_fs, selection = run_one(noisy, fs=True)
 
     write_resolved_config(cfg)
     curves_path = os.path.join(cfg.out_dir, "figure1_curves.csv")

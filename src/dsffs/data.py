@@ -6,8 +6,8 @@ copies) over one train split plus a held-out test split. What stays
 resident through training is one normalized matrix: clients gather their
 minibatches, and the evaluator its test batches, from that matrix through
 an index. Building it holds one matrix: `generate_synthetic` draws into
-the matrix it returns, and `cli.prepare` normalizes the matrix it built in
-place. Both work on about `CHUNK_BYTES` of rows at a time.
+the matrix it returns, and `normalize` rewrites the matrix of the dataset
+it is given in place. Both work on about `CHUNK_BYTES` of rows at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     name: str = "dataset"
-    feature_names: list[str] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -106,7 +105,6 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             if label_column not in header:
                 raise DataFormatError(f"{path}: no label column named {label_column!r}")
             label_idx = header.index(label_column)
-        feature_names = [h for k, h in enumerate(header) if k != label_idx]
         rows, labels = [], []
         for ln, row in enumerate(reader, start=2):
             if not row:
@@ -122,12 +120,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             labels.append(row[label_idx].strip())
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(
-        np.array(rows, dtype=float),
-        _dense_labels(labels),
-        name=str(path),
-        feature_names=feature_names,
-    )
+    return Dataset(np.array(rows, dtype=float), _dense_labels(labels), name=str(path))
 
 
 def _open_maybe_gzip(path):
@@ -142,24 +135,34 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _read_exactly(fh, size: int, path, what: str) -> bytes:
+    """`size` bytes from fh; fewer left in the file is a DataFormatError."""
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise DataFormatError(f"{path}: truncated {what}")
+    return buf
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load a big-endian IDX image/label file pair (gzip transparently)."""
     with _open_maybe_gzip(images_path) as fh:
-        magic, n_images, n_rows, n_cols = struct.unpack(">IIII", fh.read(16))
+        magic, n_images, n_rows, n_cols = struct.unpack(
+            ">IIII", _read_exactly(fh, 16, images_path, "header"))
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
-        pixels = np.frombuffer(fh.read(n_images * n_rows * n_cols), dtype=np.uint8)
-        if pixels.size != n_images * n_rows * n_cols:
-            raise DataFormatError(f"{images_path}: truncated pixel data")
+        pixels = np.frombuffer(
+            _read_exactly(fh, n_images * n_rows * n_cols, images_path, "pixel data"),
+            dtype=np.uint8)
     with _open_maybe_gzip(labels_path) as fh:
-        magic, n_labels = struct.unpack(">II", fh.read(8))
+        magic, n_labels = struct.unpack(">II", _read_exactly(fh, 8, labels_path, "header"))
         if magic != IDX_LABELS_MAGIC:
             raise DataFormatError(
                 f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
             )
-        labels = np.frombuffer(fh.read(n_labels), dtype=np.uint8)
+        labels = np.frombuffer(_read_exactly(fh, n_labels, labels_path, "label data"),
+                               dtype=np.uint8)
     if n_labels != n_images:
         raise DataFormatError(f"{labels_path}: {n_labels} labels for {n_images} images")
     X = pixels.reshape(n_images, n_rows * n_cols).astype(float)
@@ -222,19 +225,6 @@ def load_dataset(path, fmt: str, label_column: str | None = None,
     raise ConfigError(f"unknown dataset format {fmt!r}")
 
 
-def normalize(ds: Dataset, mode: str = "minmax", fit_idx=None) -> Dataset:
-    """Per-feature normalization; statistics from rows `fit_idx` (default all).
-
-    minmax maps each feature to [0, 1]; zscore to mean 0, sd 1. Constant
-    features map to 0 under both modes. Returns a new Dataset and leaves
-    `ds` untouched: a copy of the matrix, normalized in place.
-    """
-    X = ds.X.copy()
-    _normalize_in_place(X, mode, fit_idx)
-    return Dataset(X, ds.y.copy(), name=ds.name,
-                   feature_names=ds.feature_names, meta=dict(ds.meta))
-
-
 def _fold(ufuncs, X: np.ndarray, rows: np.ndarray, center=None) -> list[np.ndarray]:
     """`[u.reduce(X[rows], axis=0) for u in ufuncs]`, to the bit, one chunk at a time.
 
@@ -262,16 +252,18 @@ def _fold(ufuncs, X: np.ndarray, rows: np.ndarray, center=None) -> list[np.ndarr
     return accs
 
 
-def _normalize_in_place(X: np.ndarray, mode: str, fit_idx=None) -> None:
-    """`normalize` over X itself, copying one chunk of fit rows at a time.
+def normalize(ds: Dataset, mode: str, rows: np.ndarray) -> None:
+    """Per-feature normalization of `ds.X` in place, statistics from `rows`.
 
-    The statistics are minmax's `min`/`max` or zscore's `np.mean`/`np.std`
-    (`sum / n`, then `sqrt(sum((x - mean)**2) / n)`), byte for byte.
+    minmax maps each feature to [0, 1]; zscore to mean 0, sd 1. Constant
+    features map to 0 under both modes. The statistics are minmax's
+    `min`/`max` or zscore's `np.mean`/`np.std` (`sum / n`, then
+    `sqrt(sum((x - mean)**2) / n)`) over the index array `rows`, byte for
+    byte, gathered one chunk of rows at a time.
     """
     if mode not in ("minmax", "zscore"):
         raise ConfigError(f"unknown normalization mode {mode!r}")
-    # an index array or a mask, as row numbers in the order given
-    rows = np.arange(X.shape[0]) if fit_idx is None else np.arange(X.shape[0])[fit_idx]
+    X = ds.X
     n = len(rows)
     if n < 1:
         raise ValueError("cannot fit normalization on an empty split")

@@ -40,9 +40,9 @@ def crit6_config(seed: int, fs: bool, k: int = 30) -> ExperimentConfig:
     )
 
 
-def run_cfg(cfg: ExperimentConfig, ds: Dataset):
-    return run_training(replace(cfg, k_features=min(cfg.k_features, ds.d)),
-                        prepare(cfg, ds))
+def run_cfg(cfg: ExperimentConfig, parts):
+    """Train on a prepared partition, with k_features capped at its width."""
+    return run_training(replace(cfg, k_features=min(cfg.k_features, parts.data.d)), parts)
 
 
 def test_criterion_1_sparsity_conservation():
@@ -170,10 +170,14 @@ def test_criterion_6_noisy_feature_study():
     for seed in range(1, 6):
         ds = generate_synthetic(20, 480, 2000, 2, seed=seed, separation=1.0)
         informative = set(ds.meta["informative_idx"])
-        original = Dataset(ds.X[:, sorted(informative)], ds.y.copy(), meta=dict(ds.meta))
-        _, m_orig, _ = run_cfg(crit6_config(seed, fs=False), original)
-        _, m_noisy, _ = run_cfg(crit6_config(seed, fs=False), ds)
-        _, _, sel = run_cfg(crit6_config(seed, fs=True), ds)
+        original = Dataset(np.take(ds.X, sorted(informative), axis=1), ds.y.copy(),
+                           meta=dict(ds.meta))
+        _, m_orig, _ = run_cfg(crit6_config(seed, fs=False),
+                               prepare(crit6_config(seed, fs=False), original))
+        # prepare normalizes ds in place: both noisy runs train on one partition
+        noisy = prepare(crit6_config(seed, fs=False), ds)
+        _, m_noisy, _ = run_cfg(crit6_config(seed, fs=False), noisy)
+        _, _, sel = run_cfg(crit6_config(seed, fs=True), noisy)
         gap = m_orig[-1].test_accuracy - m_noisy[-1].test_accuracy
         recovery = len(set(sel.indices) & informative) / len(informative)
         gap_hits += gap >= 0.05
@@ -220,12 +224,12 @@ def test_criterion_7_coil20_benchmark():
     assert ds.d == 1024 and ds.n == 1440 and ds.n_classes == 20
 
     def retrain_on(columns, seed):
-        sub = Dataset(ds.X[:, sorted(columns)], ds.y.copy(), name="COIL-20-sub")
+        sub = Dataset(np.take(ds.X, sorted(columns), axis=1), ds.y.copy(), name="COIL-20-sub")
         cfg = ExperimentConfig(hidden_dims=[100, 50], clients=10, rounds=60,
                                local_epochs=2, k_features=min(150, len(columns)),
                                dirichlet_alpha=0.5, lr=0.02, batch_size=32,
                                seed=seed, feature_selection=False)
-        _, metrics, _ = run_cfg(cfg, sub)
+        _, metrics, _ = run_cfg(cfg, prepare(cfg, sub))
         return metrics[-1].test_accuracy
 
     margins = []
@@ -234,7 +238,8 @@ def test_criterion_7_coil20_benchmark():
                                local_epochs=2, k_features=150,
                                dirichlet_alpha=0.5, lr=0.02, batch_size=32,
                                seed=seed, feature_selection=True)
-        _, _, sel = run_cfg(cfg, ds)
+        # each seed partitions and normalizes the raw matrix its own way
+        _, _, sel = run_cfg(cfg, prepare(cfg, replace(ds, X=ds.X.copy())))
         rng = np.random.default_rng([seed, 0xC0])
         random_k = rng.choice(ds.d, size=150, replace=False)
         acc_sel = retrain_on(sel.indices, seed)
@@ -285,10 +290,11 @@ def test_criterion_9_fedprox_reduces_drift():
     drifts = {0.0: [], 1.0: []}
     for seed in (1, 2, 3):
         ds = generate_synthetic(20, 480, 2000, 2, seed=seed, separation=1.0)
+        parts = prepare(crit6_config(seed, fs=True), ds)
         for mu in (0.0, 1.0):
             cfg = crit6_config(seed, fs=True)
             cfg.mu = mu
-            _, metrics, _ = run_training(cfg, prepare(cfg, ds))
+            _, metrics, _ = run_training(cfg, parts)
             drifts[mu].append(float(np.mean([m.client_drift for m in metrics])))
     med0 = float(np.median(drifts[0.0]))
     med1 = float(np.median(drifts[1.0]))

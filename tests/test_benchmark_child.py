@@ -38,3 +38,5 @@ def test_traced_child_run_reports_no_problems(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
     assert isinstance(result["per_layer"], dict)
+    # the spans wrap cli.normalize: a run must normalize through it
+    assert result["per_layer"]["data.normalize.s"] > 0

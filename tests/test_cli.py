@@ -105,6 +105,19 @@ class TestConfigParsing:
         assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_features", [0, -3])
+    def test_n_features_below_one_rejected(self, tmp_path, n_features):
+        svm = tmp_path / "toy.svm"
+        svm.write_text("0 1:0.5 2:1.0\n1 2:0.25\n" * 10)
+        p = write_cfg(tmp_path, TINY.replace("dataset: synthetic",
+                                             f"dataset: libsvm\npath: {svm}")
+                      + f"n_features: {n_features}\n")
+        with pytest.raises(ConfigError, match="n_features must be at least 1"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_number_written_without_a_dot(self, tmp_path):
         # YAML reads 1e-5 as a string; float() reads it as a number
         cfg = load_config(write_cfg(tmp_path, TINY + "lr: 1e-5\nrounds: '3'\n"))

@@ -10,19 +10,32 @@ DST on the dense input-layer gradient), FedProx (mu > 0, the proximal
 branch of the SGD step) and three kept features (layer 0's connected rows
 run out of free positions, so its regrow takes the shortfall path). A
 fifth covers the data path: zscore normalization, whose statistics and
-output `data.normalize` builds in place. The
+output `data.normalize` computes in place on the one matrix. Two figure1
+studies, under minmax and under zscore, cover a dataset that the caller
+builds and `prepare` normalizes in place: the informative columns taken
+before normalizing, and two runs trained on one prepared partition. The
 digests hold for a given numpy/BLAS build and CPU; re-record them only
 when the platform changes, never to absorb a change in what the program
 computes.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+# a synthetic study small enough to run three trainings in about a second;
+# JSON is flow-style YAML, which is what load_config parses
+FIGURE1 = {
+    "dataset": "synthetic", "n_informative": 6, "n_noise": 54, "n_samples": 800,
+    "n_classes": 2, "separation": 2.0, "hidden_dims": [16], "sparsity": 0.7,
+    "k_features": 6, "rounds": 5, "local_epochs": 2, "clients": 3, "batch_size": 16,
+    "lr": 0.05,
+}
 
 
 def run_desk(tmp_path, **keys):
@@ -39,20 +52,30 @@ def run_desk(tmp_path, **keys):
             lines[at[0]] = line
         else:
             lines.append(line)
-    text = "\n".join(lines) + "\n"
-    (tmp_path / "desk.yaml").write_text(text, encoding="utf-8")
+    return run_cli(tmp_path, "\n".join(lines) + "\n", ["run", "--workers", "1"],
+                   ("metrics.csv", "selected_features.json"))
+
+
+def run_figure1(tmp_path, **keys):
+    """Run the figure1 study on FIGURE1 with `keys` set; return {file name: sha256}."""
+    text = json.dumps({**FIGURE1, **keys}) + "\n"
+    return run_cli(tmp_path, text, ["figure1"], ("figure1_curves.csv", "figure1_report.json"))
+
+
+def run_cli(tmp_path, config_text, args, outputs):
+    """Run `dsffs.cli` `args` on a config in a child process; hash its `outputs`."""
+    (tmp_path / "config.yaml").write_text(config_text, encoding="utf-8")
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
     # a relative --out keeps the echoed out_dir, and so the manifest, stable
     proc = subprocess.run(
-        [sys.executable, "-m", "dsffs.cli", "run", "--config", "desk.yaml",
-         "--out", "out", "--workers", "1"],
+        [sys.executable, "-m", "dsffs.cli", *args, "--config", "config.yaml", "--out", "out"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-            for name in ("metrics.csv", "selected_features.json")}
+            for name in outputs}
 
 
 def test_desk_run_matches_recorded_hashes(tmp_path):
@@ -94,4 +117,22 @@ def test_zscore_run_matches_recorded_hashes(tmp_path):
         "metrics.csv": "7958b74433878ef1c18d6a4cbd9490a31754702a74e792eea4a5e0827a012556",
         "selected_features.json":
             "20201ccf399788f9463a52af47a9ce38506f653c1659379b0de79c259370e256",
+    }
+
+
+def test_figure1_minmax_matches_recorded_hashes(tmp_path):
+    assert run_figure1(tmp_path, normalize="minmax", seed=3) == {
+        "figure1_curves.csv":
+            "8249bf164dd48dd089160228ef6092435d3ee64b35ff3b0312d8ba98cac9c6f5",
+        "figure1_report.json":
+            "52fe8810b216fbf2310f10ee1a1daa556b8496853553cb301f35877094fdeeb6",
+    }
+
+
+def test_figure1_zscore_matches_recorded_hashes(tmp_path):
+    assert run_figure1(tmp_path, normalize="zscore", seed=4) == {
+        "figure1_curves.csv":
+            "e5ec62fe242449c6516032cbe046297f46fb172c3912f96da91432e4186eaec3",
+        "figure1_report.json":
+            "cf859397a8a4c7d7b264968bc05f43c3e74aed8311ed708686d48ce0c4a74fae",
     }

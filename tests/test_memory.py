@@ -54,17 +54,19 @@ def test_generate_synthetic_holds_one_matrix():
 
 
 @pytest.mark.parametrize("mode", ["minmax", "zscore"])
-def test_prepare_leaves_a_callers_dataset_untouched(mode):
-    # figure1 trains two runs on one dataset; 300 rows span two chunks
-    cfg = cli.ExperimentConfig(n_informative=4, n_noise=30, n_samples=300,
-                               normalize=mode, clients=3)
+def test_prepare_normalizes_a_callers_dataset_in_place(mode):
+    # figure1 builds its datasets itself and hands them to prepare
+    cfg = cli.ExperimentConfig(**SHAPE, normalize=mode, clients=4)
+    cli.prepare(cli.ExperimentConfig(n_informative=2, n_noise=3, n_samples=20,
+                                     normalize=mode, clients=2))
     ds = cli.build_dataset(cfg)
-    before = ds.X.copy()
-    parts = cli.prepare(cfg, ds)
-    assert ds.X.tobytes() == before.tobytes()
-    assert parts.data.X is not ds.X
-    # the same bytes as a dataset that prepare builds and normalizes in place
-    assert parts.data.X.tobytes() == cli.prepare(cfg).data.X.tobytes()
+    X = ds.X
+    parts, peak = traced_peak(lambda: cli.prepare(cfg, ds))
+    # one chunk of rows at a time, never a copy of the matrix
+    assert peak < 0.3 * X.nbytes, peak / X.nbytes
+    assert parts.data.X is X and ds.X is X
+    # the same bytes as a dataset that prepare builds itself
+    assert ds.X.tobytes() == cli.prepare(cfg).data.X.tobytes()
 
 
 def cfg(**kw):
