@@ -182,9 +182,13 @@ def churn_count(net: SparseNetwork, l: int, fraction: float,
     """Connections layer `l` can prune and still regrow back to target.
 
     floor(fraction * nnz), capped by the inactive headroom against the
-    layer target so the paired regrowth always has enough candidate
-    positions (zero for a dense layer, which has nowhere to grow). With a
-    boolean `rows` mask, only those rows count as room to regrow.
+    layer target (zero for a dense layer, which has nowhere to grow). With
+    a boolean `rows` mask, only those rows count as room to regrow. The
+    cap leaves the paired regrowth enough candidate positions only when
+    the rows can hold the target at all: when they cannot (layer 0 once
+    the removal schedule has left too few inputs, as in the `wide_input`
+    benchmark), the count is zero and `regrow_layer_by_gradient` can come
+    up short and warn.
     """
     layer = net.layers[l]
     n_rows = layer.rows if rows is None else int(np.count_nonzero(rows))
@@ -198,9 +202,6 @@ def magnitude_prune_hidden(net: SparseNetwork, fraction: float) -> TopologyDelta
         raise ValueError(f"prune fraction must be in (0, 1), got {fraction}")
     delta = TopologyDelta()
     for l in range(1, len(net.layers)):
-        if net.layers[l].nnz() == 0:
-            warnings.warn(f"layer {l} has no connections; skipping prune", RuntimeWarning)
-            continue
         prune_layer_by_magnitude(net, l, churn_count(net, l, fraction), delta)
     return delta
 

@@ -147,9 +147,10 @@ def prune_input(net: SparseNetwork, removed: np.ndarray,
     layer runs, `dst_update.prune_layer_by_magnitude` with axis=1: it
     drops floor(zeta * remaining) live connections of smallest |weight|,
     capped by the headroom of the still-connected rows so the paired
-    regrowth can restore the count, and spares a row's last connection
-    where possible so neuron connectivity stays exactly the neuron-level
-    accounting.
+    regrowth can restore the count. It spares each row's last connection
+    unless the quota exceeds the live connections beyond one per
+    connected row; then rows' last connections go too, and those rows
+    end disconnected but neither pruned neurons nor removed.
     """
     layer = net.layers[0]
     delta = TopologyDelta()
@@ -188,32 +189,23 @@ def regrow_input(net: SparseNetwork, removed: np.ndarray,
     pruned in this same update; neuron reconnection may (the whole row was
     just cleared, and the single strongest position wins regardless of
     its history).
+
+    Fewer than n_remove pruned neurons, or fewer than n_g regrowable
+    ones, happen only when prune_input picked fewer than n_p and warned:
+    with all n_p picked, the n_g not removed stay in the pool.
     """
     layer = net.layers[0]
     delta = update.delta
 
-    n_rm = min(counts.n_remove, len(update.pruned_neurons))
-    if n_rm < counts.n_remove:
-        warnings.warn(
-            f"only {n_rm} of {counts.n_remove} neuron removals realized this update",
-            RuntimeWarning,
-        )
-    removed[update.pruned_neurons[:n_rm]] = True
+    removed[update.pruned_neurons[:counts.n_remove]] = True
 
     # neuron reconnection: best row-max |gradient| wins, ties by index
     connected = layer.mask.any(axis=1)
     pool = np.flatnonzero(~connected & ~removed)
-    n_g = counts.n_g
-    if n_g > len(pool):
-        warnings.warn(
-            f"asked to reconnect {n_g} input neurons but only {len(pool)} "
-            "are disconnected and regrowable; reconnecting all",
-            RuntimeWarning,
-        )
-    if n_g > 0 and len(pool):
+    if counts.n_g > 0:
         grad_abs = np.abs(input_dense_grad[pool])
         best_cols = np.argmax(grad_abs, axis=1)  # first max = lowest column
-        pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], n_g)
+        pick = smallest(-grad_abs[np.arange(len(pool)), best_cols], counts.n_g)
         grow(net, 0, pool[pick] * layer.cols + best_cols[pick], delta)
         connected[pool[pick]] = True
 

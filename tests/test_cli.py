@@ -49,6 +49,21 @@ seed: 11
 """
 
 
+# T=0, so nothing is scheduled for removal. Yet the clients' zeta=0.9
+# connection prune takes rows' last connections, and the round-3 adjust
+# swap leaves 10 of the 14 inputs connected: fewer than the 11 requested
+SHORTFALL = json.dumps({
+    "dataset": "synthetic", "n_informative": 3, "n_noise": 11, "n_samples": 39,
+    "n_classes": 2, "hidden_dims": [8, 8], "sparsity": 0.5, "k_features": 11,
+    "rounds": 3, "local_epochs": 3, "clients": 4, "batch_size": 4, "lr": 0.05,
+    "zeta": 0.9, "beta": 0.9, "adjust_every": 3, "adjust_rate": 0.9, "seed": 14267,
+})
+
+# numpy warns on its way to the non-finite weights that fail the run
+DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                      "ignore:invalid value encountered:RuntimeWarning")
+
+
 def write_cfg(tmp_path, text=TINY, name="exp.yaml"):
     p = tmp_path / name
     p.write_text(text)
@@ -269,6 +284,36 @@ class TestCmdRun:
         assert main(["run", "--config", p, "--out", str(out)]) == EXIT_RUNTIME
         assert not out.exists()
 
+    def test_selection_shortfall_run(self, tmp_path):
+        p = write_cfg(tmp_path, SHORTFALL)
+        csvs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            with pytest.warns(RuntimeWarning, match="layer 0: only .* positions available"), \
+                    pytest.warns(RuntimeWarning, match="only 10 input neurons connected, "
+                                                       "fewer than the 11 requested"):
+                assert main(["run", "--config", p, "--out", str(out),
+                             "--workers", workers]) == EXIT_OK
+            manifest = json.loads((out / "selected_features.json").read_text())
+            assert manifest["shortfall"] is True
+            assert manifest["k_requested"] == 11
+            assert len(manifest["selected_features"]) == 10
+            csvs.append((out / "metrics.csv").read_text())
+        header, *_, last = csvs[0].splitlines()
+        assert dict(zip(header.split(","), last.split(",")))["connected_input_neurons"] == "10"
+        assert csvs[0] == csvs[1]
+
+    def test_k_features_above_d_logs_and_clamps(self, tmp_path, caplog):
+        p = write_cfg(tmp_path, TINY.replace("k_features: 4", "k_features: 40"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "k_features 40 exceeds feature count 12; using 12"]
+        manifest = json.loads((out / "selected_features.json").read_text())
+        assert manifest["k_requested"] == 12
+        assert sorted(manifest["selected_features"]) == list(range(12))
+
+    @DIVERGES
     def test_diverging_run_fails_with_round(self, tmp_path, capsys):
         p = write_cfg(tmp_path, TINY + "lr: 1.0e+200\n")
         out = tmp_path / "out"
@@ -296,6 +341,7 @@ class TestCmdFigure1:
                                              "dataset: csv\npath: x.csv"))
         assert main(["figure1", "--config", p, "--out", str(tmp_path / "fig")]) == EXIT_CONFIG
 
+    @DIVERGES
     def test_diverging_study_leaves_no_output(self, tmp_path, capsys):
         p = write_cfg(tmp_path, TINY + "lr: 1.0e+200\n")
         out = tmp_path / "fig"

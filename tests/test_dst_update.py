@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,14 @@ class TestMagnitudePrune:
         assert delta.pruned.tolist() == [[1, 0, 1]]
         assert net.layers[1].mask[0, 0]
 
-    def test_empty_layer_warns_and_skips(self):
+    def test_empty_layer_is_a_no_op(self):
+        # churn_count is 0 on an empty layer, so there is nothing to skip
         net = two_layer([[0.0, 0.0]], hidden_mask=[[0, 0]])
-        with pytest.warns(RuntimeWarning, match="no connections"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             delta = magnitude_prune_hidden(net, 0.5)
         assert delta.pruned.tolist() == []
+        assert not net.layers[1].mask.any()
 
     def test_rejects_bad_fraction(self):
         net = two_layer([[1.0, 2.0]])

@@ -254,7 +254,9 @@ class TestRegrowInput:
         counts = ScheduleCounts(1, 1)
         update = prune_input(net, removed, counts, zeta=0.0)
         assert update.pruned_neurons == [1, 3]  # ascending strength
-        regrow_input(net, removed, counts, np.ones((4, 2)), update)
+        # the dense layer has no free position off the pruned ones
+        with pytest.warns(RuntimeWarning, match="layer 0: only 0 positions available"):
+            regrow_input(net, removed, counts, np.ones((4, 2)), update)
         assert removed[1]                       # weakest stays out for good
         assert not removed[3]
         assert net.layers[0].mask[3].any()      # the other was regrown
@@ -284,11 +286,13 @@ class TestRegrowInput:
         w = rng.normal(size=(10, 4)) * mask
         net = input_net(w, mask=mask, hidden=np.ones((4, 2)))
         removed = np.zeros(10, dtype=bool)
-        for step in range(5):
-            counts = ScheduleCounts(1, 1)
-            update = prune_input(net, removed, counts, zeta=0.2)
-            regrow_input(net, removed, counts, rng.normal(size=(10, 4)), update)
-            assert not net.layers[0].mask[removed].any()
+        # from the fourth removal on, the rows left cannot regrow to the target
+        with pytest.warns(RuntimeWarning, match="layer 0: only .* positions available"):
+            for step in range(5):
+                counts = ScheduleCounts(1, 1)
+                update = prune_input(net, removed, counts, zeta=0.2)
+                regrow_input(net, removed, counts, rng.normal(size=(10, 4)), update)
+                assert not net.layers[0].mask[removed].any()
         assert int(removed.sum()) == 5
 
 
