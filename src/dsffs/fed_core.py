@@ -130,10 +130,11 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     Each epoch runs minibatch SGD over the shard, then one topology
     update: the dense gradient is re-evaluated on the epoch's last
     minibatch at the post-step weights and feeds both the input-layer and
-    the hidden-layer prune/regrow, and the momentum moves onto the new
-    masks. `counts` is the round's neuron schedule (None when feature
-    selection is off): the first epoch applies it, later epochs apply
-    steady-state churn (equal prune/regrow, no net removal).
+    the hidden-layer prune/regrow; before another epoch, the momentum
+    moves onto the new masks. `counts` is the round's neuron schedule
+    (None when feature selection is off): the first epoch applies it,
+    later epochs apply steady-state churn (equal prune/regrow, no net
+    removal).
     """
     net = global_net.copy()
     removed = global_removed.copy()
@@ -174,7 +175,9 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
             gradient_regrow_hidden(net, grads.weights, delta)
-        mask_velocity(net, velocity)
+        # after the last epoch the momentum is thrown away
+        if q < config.local_epochs:
+            mask_velocity(net, velocity)
     return net
 
 
@@ -361,16 +364,20 @@ def run_training(config: FedConfig, data: PartitionedDataset):
             broadcast = server.global_model
             removed = server.global_removed
 
+            # a diverging run overflows on its way to the non-finite weights
+            # that the check below reports, with the round; np.errstate is
+            # per thread, so each pool thread sets its own
             def train_one(m: int) -> SparseNetwork:
-                return local_train(ds.X, ds.y, data.shards[m], broadcast, counts, r, config,
-                                   removed)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return local_train(ds.X, ds.y, data.shards[m], broadcast, counts, r,
+                                       config, removed)
 
             nets = list(pool.map(train_one, selected))
 
-            drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
-
             sizes = [len(data.shards[m]) for m in selected]
-            aggregated = aggregate(zip(sizes, nets))
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
+                aggregated = aggregate(zip(sizes, nets))
             del nets
             if config.feature_selection:
                 schedule.record(counts.n_remove)

@@ -6,10 +6,13 @@ so plain dense matmuls compute the sparse forward/backward pass. The
 backward pass returns the gradient at every position, inactive ones
 included, which the gradient-magnitude regrowth steps consume.
 
-Optimizer state is sparse: momentum exists only for live connections,
-held at each layer's sorted flat live index (`new_velocity`). Call
-`mask_velocity` after any mask change and before the next `sgd_step`. A
-step reads and writes live weights only; it never writes an inactive one.
+Optimizer state is sparse (`new_velocity`): per layer, the sorted flat
+live index, the momentum of those connections, and a copy of their
+weights, which a step updates and scatters back; a step never writes an
+inactive weight. The copy is read again whenever `net.version` moves, so
+an edit followed by `touch()` is seen. Under FedProx the anchor's live
+weights are read once per live index and anchor version. Call
+`mask_velocity` after any mask change and before the next `sgd_step`.
 """
 
 from __future__ import annotations
@@ -241,70 +244,104 @@ def backward(net: SparseNetwork, cache: ForwardCache, labels: np.ndarray) -> Gra
     return Gradients(weights, bias)
 
 
-def new_velocity(net: SparseNetwork):
+@dataclass(eq=False)
+class LayerState:
+    """One layer's SGD state, valid while the layer's mask stands."""
+
+    idx: np.ndarray             # the mask's sorted flat row-major live index
+    vw: np.ndarray              # momentum of the live connections, in idx order
+    vb: np.ndarray              # bias momentum
+    w: np.ndarray | None = None  # live weights, flat[idx], as the last step left them
+    a: np.ndarray | None = None  # the FedProx anchor's weights at idx
+
+
+@dataclass(eq=False)
+class SGDState:
+    """Per-layer SGD state plus what its cached copies were read from."""
+
+    layers: list[LayerState]
+    version: int | None = None    # net.version at which every `w` was read or written
+    anchor: tuple | None = None   # (anchor network, its version) every `a` was read from
+
+
+def new_velocity(net: SparseNetwork) -> SGDState:
     """Zeroed momentum for the live connections of each layer.
 
-    One (idx, vw, vb) per layer: `idx` is the mask's sorted flat row-major
-    live index, `vw` the momentum of those connections (same length), `vb`
-    the bias momentum. Inactive connections have no momentum; after any
-    mask change, `mask_velocity` must move it before the next step.
+    Inactive connections have no momentum; after any mask change,
+    `mask_velocity` must move it before the next step. Nothing is cached
+    yet: the first step reads the live weights (and the anchor's). A
+    state belongs to the network it was made for.
     """
-    velocity = []
+    layers = []
     for layer in net.layers:
         idx = np.flatnonzero(layer.mask)
-        velocity.append((idx, np.zeros(len(idx)), np.zeros_like(layer.bias)))
-    return velocity
+        layers.append(LayerState(idx, np.zeros(len(idx)), np.zeros_like(layer.bias)))
+    return SGDState(layers)
 
 
 def sgd_step(net, grads: Gradients, lr: float, momentum: float = 0.0,
-             velocity=None, prox=None):
+             velocity: SGDState | None = None, prox=None) -> SGDState:
     """One SGD(+momentum) update of the live connections.
 
-    Gathers gradient and weights at each layer's live index, updates them
-    as vectors and scatters the weights back; inactive weights are never
-    written, so they stay +0.0 whatever the gradient holds there. `velocity`
-    must match the current masks (see `mask_velocity`).
+    Gathers the gradient at each layer's live index, updates the cached
+    live weights as a vector and scatters them back; inactive weights are
+    never written, so they stay +0.0 whatever the gradient holds there.
+    The cached weights are read from the network again when `net.version`
+    differs from the one the state last saw. `velocity` must match the
+    current masks (see `mask_velocity`).
 
     `prox` is an optional (mu, anchor_network) pair; when present,
     mu * (w - w_anchor) is added to the weight gradient at live positions.
-    Returns the velocity for reuse on the next call.
+    The anchor's live weights are read again only when the live index,
+    the anchor object or its version changes. Returns the state for reuse
+    on the next call.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if velocity is None:
         velocity = new_velocity(net)
-    for l, layer in enumerate(net.layers):
-        idx, vw, vb = velocity[l]
+    if velocity.version != net.version:
+        for layer, s in zip(net.layers, velocity.layers):
+            s.w = layer.weights.ravel()[s.idx]
+    mu = 0.0
+    if prox is not None and prox[0] != 0.0:
+        mu, anchor = prox
+        if velocity.anchor != (anchor, anchor.version):
+            for a_layer, s in zip(anchor.layers, velocity.layers):
+                s.a = a_layer.weights.ravel()[s.idx]
+            velocity.anchor = (anchor, anchor.version)
+    for l, (layer, s) in enumerate(zip(net.layers, velocity.layers)):
         # a view: raises rather than write the update into a copy
         flat = layer.weights.reshape(-1, copy=False)
-        w = flat[idx]
-        vw *= momentum
-        if prox is not None and prox[0] != 0.0:
-            mu, anchor = prox
-            t = w - anchor.layers[l].weights.ravel()[idx]
+        s.vw *= momentum
+        if mu != 0.0:
+            t = s.w - s.a
             t *= mu
-            vw += np.add(t, grads.weights[l].ravel()[idx], out=t)
+            s.vw += np.add(t, grads.weights[l].ravel()[s.idx], out=t)
         else:
-            vw += grads.weights[l].ravel()[idx]
-        w -= lr * vw
-        flat[idx] = w
-        vb *= momentum
-        vb += grads.bias[l]
-        layer.bias -= lr * vb
+            s.vw += grads.weights[l].ravel()[s.idx]
+        s.w -= lr * s.vw
+        flat[s.idx] = s.w
+        s.vb *= momentum
+        s.vb += grads.bias[l]
+        layer.bias -= lr * s.vb
     net.touch()
+    velocity.version = net.version
     return velocity
 
 
-def mask_velocity(net: SparseNetwork, velocity) -> None:
+def mask_velocity(net: SparseNetwork, velocity: SGDState) -> None:
     """Move momentum onto the current masks, in place.
 
     Call after any mask change and before the next `sgd_step`. Connections
     still live keep their momentum, regrown ones start at zero and pruned
-    ones drop theirs.
+    ones drop theirs. The cached live weights and anchor values are
+    dropped; the next step reads them at the new index.
     """
-    for l, layer in enumerate(net.layers):
-        idx, vw, vb = velocity[l]
+    for layer, s in zip(net.layers, velocity.layers):
         full = np.zeros(layer.mask.size)
-        full[idx] = vw
-        idx = np.flatnonzero(layer.mask)
-        velocity[l] = (idx, full[idx], vb)
+        full[s.idx] = s.vw
+        s.idx = np.flatnonzero(layer.mask)
+        s.vw = full[s.idx]
+        s.w = s.a = None
+    velocity.version = velocity.anchor = None

@@ -1,13 +1,15 @@
 """The sparse-state SGD path against the slow dense reference, byte for byte.
 
 `backward` returns the dense gradient alone; `new_velocity` keeps momentum
-for live connections only, `sgd_step` updates the live weights as vectors
-and never writes an inactive one, and `mask_velocity` moves the momentum
-onto the new masks. Over random shapes, densities, hyperparameters and
-multi-step runs with topology churn between steps, weights, biases,
-gradients and the live momentum must equal those of the original dense
-code (tests/reference_sgd.py) in every byte, so +0.0 and -0.0 count as
-different.
+for live connections only, `sgd_step` updates cached live weights as
+vectors and never writes an inactive one, and `mask_velocity` moves the
+momentum onto the new masks. Over random shapes, densities,
+hyperparameters and multi-step runs with topology churn between steps,
+weights, biases, gradients and the live momentum must equal those of the
+original dense code (tests/reference_sgd.py) in every byte, so +0.0 and
+-0.0 count as different. So must a whole `local_train`, which skips the
+momentum remap after its last epoch, and steps taken after the weights or
+the FedProx anchor changed behind the cached copies.
 """
 
 import numpy as np
@@ -16,6 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_sgd as ref
+from dsffs.dst_update import gradient_regrow_hidden, magnitude_prune_hidden
+from dsffs.fed_core import FedConfig, local_train
+from dsffs.input_selector import InputSchedule, compute_schedule, prune_input, regrow_input
 from dsffs.sparse_net import (
     SparseLayer,
     SparseNetwork,
@@ -71,12 +76,19 @@ def runs(draw):
 
 
 def assert_velocity_matches(net, vel, ref_vel) -> None:
-    """Live momentum equals the dense reference at the live index; zero elsewhere."""
-    for layer, (idx, vw, vb), (ref_vw, ref_vb) in zip(net.layers, vel, ref_vel):
-        assert same_bytes(idx, np.flatnonzero(layer.mask))
-        assert same_bytes(vw, ref_vw.ravel()[idx])
+    """Live momentum equals the dense reference at the live index; zero elsewhere.
+
+    Live weights cached at the network's current version are its weights
+    at the live index.
+    """
+    assert len(vel.layers) == len(net.layers) == len(ref_vel)
+    for layer, state, (ref_vw, ref_vb) in zip(net.layers, vel.layers, ref_vel):
+        assert same_bytes(state.idx, np.flatnonzero(layer.mask))
+        assert same_bytes(state.vw, ref_vw.ravel()[state.idx])
         assert np.all(ref_vw[~layer.mask] == 0.0)
-        assert same_bytes(vb, ref_vb)
+        assert same_bytes(state.vb, ref_vb)
+        if vel.version == net.version:
+            assert same_bytes(state.w, layer.weights.ravel()[state.idx])
 
 
 @PROPERTY
@@ -135,6 +147,96 @@ def test_gradient_is_reference_dense_gradient(run):
         assert same_bytes(grads.weights[l], old.dense[l])
         assert same_bytes(grads.weights[l] * layer.mask, old.masked[l])
         assert same_bytes(grads.bias[l], old.bias[l])
+
+
+def reference_local_train(X, y, rows, global_net, counts, r, config, global_removed):
+    """`fed_core.local_train` with selection on, driven by the dense reference SGD.
+
+    The momentum is remapped after every epoch, the last one included.
+    """
+    net = global_net.copy()
+    removed = global_removed.copy()
+    prox = (config.mu, global_net) if config.mu > 0 else None
+    velocity = None
+    for q in range(1, config.local_epochs + 1):
+        order = np.random.default_rng([config.seed, r, q]).permutation(len(rows))
+        for start in range(0, len(rows), config.batch_size):
+            sel = rows[order[start:start + config.batch_size]]
+            xb, yb = X[sel], y[sel]
+            _, cache = forward(net, xb)
+            velocity = ref.sgd_step(net, ref.backward(net, cache, yb), config.lr,
+                                    config.momentum, velocity, prox)
+        _, cache = forward(net, xb)
+        dense = ref.backward(net, cache, yb).dense
+        epoch_counts = counts if q == 1 else counts.churn()
+        update = prune_input(net, removed, epoch_counts, config.zeta)
+        regrow_input(net, removed, epoch_counts, dense[0], update)
+        gradient_regrow_hidden(net, dense, magnitude_prune_hidden(net, config.zeta))
+        ref.mask_velocity(net, velocity)
+    return net
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("local_epochs", [1, 2, 3])
+def test_local_train_matches_reference_loop(local_epochs, mu):
+    rng = np.random.default_rng(local_epochs)
+    d, n = 12, 40
+    X = rng.normal(size=(n + 5, d))
+    y = rng.integers(0, 3, size=n + 5)
+    rows = np.arange(5, n + 5)
+    config = FedConfig(hidden_dims=[8, 6], clients=2, rounds=4, sparsity=0.6, k_features=4,
+                       local_epochs=local_epochs, batch_size=6, lr=0.1, zeta=0.3, beta=0.5,
+                       mu=mu, seed=3)
+    broadcast = random_net(rng, [d, 8, 6, 3], 0.4)
+    counts = compute_schedule(InputSchedule(d, 4, config.zeta, config.beta, config.rounds), 1)
+    assert counts.n_remove > 0
+    removed = np.zeros(d, dtype=bool)
+
+    out = local_train(X, y, rows, broadcast, counts, 1, config, removed)
+    expected = reference_local_train(X, y, rows, broadcast, counts, 1, config, removed)
+    for layer, ref_layer in zip(out.layers, expected.layers):
+        assert np.array_equal(layer.mask, ref_layer.mask)
+        assert same_bytes(layer.weights, ref_layer.weights)
+        assert same_bytes(layer.bias, ref_layer.bias)
+    # the topology moved, so a skipped or wrong remap would show
+    assert not np.array_equal(out.layers[0].mask, broadcast.layers[0].mask)
+    out.validate()
+
+
+@pytest.mark.parametrize("edit, mu", [("weights", None), ("weights", 0.5),
+                                      ("new anchor", 0.5), ("anchor in place", 0.5)])
+def test_step_after_out_of_band_edit_matches_reference(edit, mu):
+    # no mask changes between the steps, so only the versions and the
+    # anchor's identity say that a cached copy is stale
+    rng = np.random.default_rng(5)
+    dims = [7, 5, 3]
+    net = random_net(rng, dims, 0.5)
+    old = net.copy()
+    anchor = random_net(rng, dims, 0.5)
+    vel = old_vel = None
+    for step in range(3):
+        if step and edit == "weights":
+            for edited in (net, old):
+                for layer in edited.layers:
+                    layer.weights[layer.mask] += 0.25
+                edited.touch()
+        elif step and edit == "new anchor":
+            anchor = random_net(rng, dims, 0.5)
+        elif step:
+            for layer in anchor.layers:
+                layer.weights[layer.mask] += 1.0
+            anchor.touch()
+        prox = None if mu is None else (mu, anchor)
+        X = rng.normal(size=(4, dims[0]))
+        y = rng.integers(0, dims[-1], size=4)
+        _, cache = forward(net, X)
+        _, old_cache = forward(old, X)
+        vel = sgd_step(net, backward(net, cache, y), 0.1, 0.9, vel, prox)
+        old_vel = ref.sgd_step(old, ref.backward(old, old_cache, y), 0.1, 0.9, old_vel, prox)
+        for layer, old_layer in zip(net.layers, old.layers):
+            assert same_bytes(layer.weights, old_layer.weights)
+            assert same_bytes(layer.bias, old_layer.bias)
+        assert_velocity_matches(net, vel, old_vel)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -117,10 +117,10 @@ class TestBackward:
                            [b.copy() for b in g.bias])
         vel = sgd_step(net, g, lr=0.1, momentum=0.9)
         other_vel = sgd_step(other, masked, lr=0.1, momentum=0.9)
-        for layer, other_layer, (_, vw, _), (_, other_vw, _) in zip(
-                net.layers, other.layers, vel, other_vel):
+        for layer, other_layer, state, other_state in zip(
+                net.layers, other.layers, vel.layers, other_vel.layers):
             assert layer.weights.tobytes() == other_layer.weights.tobytes()
-            assert vw.tobytes() == other_vw.tobytes()
+            assert state.vw.tobytes() == other_state.vw.tobytes()
             assert not np.any(np.signbit(layer.weights[~layer.mask]))
         net.validate()
 
