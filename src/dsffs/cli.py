@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .data import Dataset, generate_synthetic, load_dataset, normalize, partition_noniid
+from .data import (Dataset, generate_synthetic, load_csv, load_idx, load_libsvm, normalize,
+                   partition_noniid)
 from .fed_core import FedConfig, run_training
 from .metrics import RoundMetrics
 from .sparse_net import ConfigError
@@ -129,16 +130,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.dataset not in ("synthetic", "csv", "idx", "libsvm"):
         raise ConfigError(f"unknown dataset kind {cfg.dataset!r}")
-    if cfg.dataset != "synthetic":
-        if not cfg.path:
-            raise ConfigError(f"dataset {cfg.dataset!r} requires a path")
-        # only idx names two files, each stripped as its loader strips it; a
-        # comma or blank in any other path is part of it
-        paths = ([p.strip() for p in cfg.path.split(",")] if cfg.dataset == "idx"
-                 else [cfg.path])
-        for part in paths:
-            if not os.path.exists(part):
-                raise ConfigError(f"dataset file not found: {part}")
+    for part in _dataset_files(cfg):
+        if not os.path.exists(part):
+            raise ConfigError(f"dataset file not found: {part}")
     if cfg.n_features is not None and cfg.n_features < 1:
         raise ConfigError(f"n_features must be at least 1, got {cfg.n_features}")
     if cfg.normalize not in ("minmax", "zscore", "none"):
@@ -148,12 +142,30 @@ def _validate(cfg: ExperimentConfig) -> None:
     cfg.validate()
 
 
-def build_dataset(cfg: ExperimentConfig) -> Dataset:
+def _dataset_files(cfg: ExperimentConfig) -> list[str]:
+    """A config's dataset files: none, its path, or idx's stripped images and labels."""
     if cfg.dataset == "synthetic":
-        return generate_synthetic(cfg.n_informative, cfg.n_noise, cfg.n_samples,
-                                  cfg.n_classes, cfg.seed, cfg.separation)
-    return load_dataset(cfg.path, cfg.dataset, label_column=cfg.label_column,
-                        n_features=cfg.n_features)
+        return []
+    if not cfg.path:
+        raise ConfigError(f"dataset {cfg.dataset!r} requires a path")
+    if cfg.dataset != "idx":
+        return [cfg.path]   # a comma or blank in any other path is part of it
+    files = [p.strip() for p in cfg.path.split(",")]
+    if len(files) != 2:
+        raise ConfigError(f"idx path must name 'images_path,labels_path', got {cfg.path!r}")
+    return files
+
+
+def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    files = _dataset_files(cfg)
+    if cfg.dataset == "csv":
+        return load_csv(*files, label_column=cfg.label_column)
+    if cfg.dataset == "idx":
+        return load_idx(*files)
+    if cfg.dataset == "libsvm":
+        return load_libsvm(*files, n_features=cfg.n_features)
+    return generate_synthetic(cfg.n_informative, cfg.n_noise, cfg.n_samples,
+                              cfg.n_classes, cfg.seed, cfg.separation)
 
 
 def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):

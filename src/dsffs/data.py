@@ -205,26 +205,6 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     return Dataset(X, _dense_labels(labels), name=str(path))
 
 
-def load_dataset(path, fmt: str, label_column: str | None = None,
-                 n_features: int | None = None) -> Dataset:
-    """Dispatch on format: csv | idx | libsvm.
-
-    For idx, `path` names the image file and the label file separated by a
-    comma.
-    """
-    if fmt == "csv":
-        return load_csv(path, label_column=label_column)
-    if fmt == "idx":
-        parts = str(path).split(",")
-        if len(parts) != 2:
-            raise DataFormatError("idx format needs 'images_path,labels_path'")
-        images, labels = parts
-        return load_idx(images.strip(), labels.strip())
-    if fmt == "libsvm":
-        return load_libsvm(path, n_features=n_features)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
-
-
 def _fold(ufuncs, X: np.ndarray, rows: np.ndarray, center=None) -> list[np.ndarray]:
     """`[u.reduce(X[rows], axis=0) for u in ufuncs]`, to the bit, one chunk at a time.
 

@@ -98,13 +98,6 @@ class TopologyDelta:
     pruned: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.intp))
     regrown: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.intp))
 
-    def pruned_mask(self, l: int, shape) -> np.ndarray:
-        """Boolean mask of the positions of layer `l` pruned in this update."""
-        out = np.zeros(shape, dtype=bool)
-        mine = self.pruned[self.pruned[:, 0] == l]
-        out[mine[:, 1], mine[:, 2]] = True
-        return out
-
 
 def _triples(l: int, width: int, flat: np.ndarray) -> np.ndarray:
     rows, cols = np.divmod(flat, width)
@@ -164,7 +157,9 @@ def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
     need = net.nnz_targets[l] - layer.nnz()
     if need <= 0:
         return
-    eligible = ~layer.mask & ~delta.pruned_mask(l, layer.mask.shape)
+    eligible = ~layer.mask
+    _, pruned_rows, pruned_cols = delta.pruned[delta.pruned[:, 0] == l].T
+    eligible[pruned_rows, pruned_cols] = False
     if rows is not None:
         eligible &= rows[:, None]
     cand = np.flatnonzero(eligible)

@@ -3,8 +3,12 @@
 One round: broadcast the global sparse model, let each selected client run
 Q local epochs (minibatch SGD plus per-epoch input-layer and hidden-layer
 topology updates), aggregate the returned models by sample-count-weighted
-averaging with zero fill, then project the union-mask aggregate back onto
-the fixed connection budget and the shared neuron-removal schedule.
+averaging with zero fill (the union of the client masks only decides which
+aggregated weights are nonzero), then bring the input layer to the shared
+neuron-removal schedule and each layer to its fixed connection budget: its
+previous global mask minus removed rows, refilled from the strongest
+aggregated positions, with up to `adjust_rate` x target connections swapped
+for stronger ones every `adjust_every` rounds.
 Communication is an accounting event, not a wire transfer.
 """
 
@@ -218,28 +222,29 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
     floor(adjust_rate * target) kept connections may additionally be
     swapped for strictly stronger candidates: the i-th weakest kept for
     the i-th strongest candidate, stopping at the first pair that does not
-    improve. All picks are `dst_update.smallest` partial selections.
+    improve. The candidates are ranked once, by `dst_update.smallest`: the
+    refill takes the first `deficit` and the swaps draw from the rest. With
+    no deficit and no swap budget, `kept` comes back untouched.
     """
-    w_abs = np.abs(agg_layer.weights)
-    allowed = allowed_rows[:, None] & ~kept
-
+    budget = int(adjust_rate * target) if adjust else 0
     deficit = target - int(np.count_nonzero(kept))
-    if deficit > 0:
-        cand = np.flatnonzero(allowed)
-        if len(cand) < deficit:
-            raise ConfigError(
-                "cannot restore the layer connection target: "
-                f"{len(cand)} candidate positions for {deficit} needed"
-            )
-        pick = cand[smallest(-np.take(w_abs, cand), deficit)]
-        np.put(kept, pick, True)
-        np.put(allowed, pick, False)
+    if deficit <= 0 and budget == 0:
+        return kept
+    w_abs = np.abs(agg_layer.weights)
+    cand = np.flatnonzero(allowed_rows[:, None] & ~kept)
+    if len(cand) < deficit:
+        raise ConfigError(
+            "cannot restore the layer connection target: "
+            f"{len(cand)} candidate positions for {deficit} needed"
+        )
+    refill = max(deficit, 0)
+    ranked = cand[smallest(-np.take(w_abs, cand), refill + budget, ordered=True)]
+    np.put(kept, ranked[:refill], True)
 
-    if adjust:
-        budget = int(adjust_rate * target)
-        live, cand = np.flatnonzero(kept), np.flatnonzero(allowed)
+    if budget:
+        live = np.flatnonzero(kept)
         weak = live[smallest(np.take(w_abs, live), budget, ordered=True)]
-        strong = cand[smallest(-np.take(w_abs, cand), budget, ordered=True)]
+        strong = ranked[refill:]
         n_swaps = min(len(weak), len(strong))
         weak, strong = weak[:n_swaps], strong[:n_swaps]
         # kept ascends and candidates descend, so the pairs that
@@ -253,7 +258,7 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
 
 def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
                              config: FedConfig, r: int) -> SparseNetwork:
-    """Project the union-mask aggregate back onto the global budget.
+    """Bring the aggregate back onto the removal schedule and the global budget.
 
     Input layer first: the globally weakest neurons (by aggregated
     strength, previously removed ones staying removed) are disconnected
@@ -351,15 +356,11 @@ def run_training(config: FedConfig, data: PartitionedDataset):
         for r in range(1, config.rounds + 1):
             counts = compute_schedule(schedule, r) if config.feature_selection else None
 
-            if config.clients_per_round is None or config.clients_per_round == config.clients:
-                selected = list(range(config.clients))
-            else:
-                pick_rng = np.random.default_rng([config.seed, r, 0xC11])
-                selected = sorted(
-                    int(i) for i in pick_rng.choice(
-                        config.clients, size=config.clients_per_round, replace=False
-                    )
-                )
+            # drawing every client gives a permutation, so sorted range(clients)
+            pick_rng = np.random.default_rng([config.seed, r, 0xC11])
+            selected = sorted(int(i) for i in pick_rng.choice(
+                config.clients, size=config.clients_per_round or config.clients,
+                replace=False))
 
             broadcast = server.global_model
             removed = server.global_removed

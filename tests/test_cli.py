@@ -233,6 +233,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="labels.gz"):
             load_config(p)
 
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_idx_path_naming_other_than_two_files_rejected(self, tmp_path, copies):
+        images = tmp_path / "images.gz"
+        images.write_bytes(b"")
+        p = write_cfg(tmp_path, TINY.replace(
+            "dataset: synthetic", "dataset: idx\npath: " + ",".join([str(images)] * copies)))
+        with pytest.raises(ConfigError, match="idx path must name 'images_path,labels_path'"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_resolved_config_covers_every_key(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         cfg.out_dir = str(tmp_path / "out")

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from dsffs import data
+from dsffs.cli import ExperimentConfig, build_dataset
 from dsffs.data import (
     DataFormatError,
     Dataset,
     generate_synthetic,
     load_csv,
-    load_dataset,
     load_idx,
     load_libsvm,
     normalize,
@@ -140,9 +140,9 @@ class TestIdxLoader:
         with pytest.raises(DataFormatError, match=f"{pair[which]}: truncated header"):
             load_idx(*pair)
 
-    def test_comma_spec_through_load_dataset(self, tmp_path):
+    def test_comma_spec_through_build_dataset(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), np.zeros(3))
-        ds = load_dataset(f"{img},{lbl}", "idx")
+        ds = build_dataset(ExperimentConfig(dataset="idx", path=f"{img} , {lbl}"))
         assert ds.n == 3 and ds.d == 4
 
 

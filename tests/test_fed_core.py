@@ -395,6 +395,16 @@ class TestRunTraining:
         server, metrics, _ = run_training(cfg, parts)
         assert len(metrics) == 3
         assert metrics[-1].global_nnz == sum(server.global_model.nnz_targets)
+        # drawing all clients is the same run as leaving the draw unset
+        (s_all, m_all, sel_all), (s_none, m_none, sel_none) = (
+            run_training(self.cfg(clients=4, clients_per_round=cpr, rounds=3), parts)
+            for cpr in (4, None))
+        assert [m.csv_row() for m in m_all] == [m.csv_row() for m in m_none]
+        assert (sel_all.indices, sel_all.strengths) == (sel_none.indices, sel_none.strengths)
+        for a, b in zip(s_all.global_model.layers, s_none.global_model.layers):
+            assert np.array_equal(a.mask, b.mask)
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
 
     def test_nnz_conserved_with_feature_selection(self):
         parts = tiny_partition(m=2)
