@@ -2,13 +2,12 @@
 
 One round: broadcast the global sparse model, let each selected client run
 Q local epochs (minibatch SGD plus per-epoch input-layer and hidden-layer
-topology updates), aggregate the returned models by sample-count-weighted
-averaging with zero fill (the union of the client masks only decides which
-aggregated weights are nonzero), then bring the input layer to the shared
-neuron-removal schedule and each layer to its fixed connection budget: its
-previous global mask minus removed rows, refilled from the strongest
-aggregated positions, with up to `adjust_rate` x target connections swapped
-for stronger ones every `adjust_every` rounds.
+topology updates), average the returned weights and biases by sample
+count (a position a client masked off counts as zero), then bring the input
+layer to the shared neuron-removal schedule and each layer to its fixed
+connection budget: its previous global mask minus removed rows, refilled
+from the strongest averaged positions, with up to `adjust_rate` x target
+connections swapped for stronger ones every `adjust_every` rounds.
 Communication is an accounting event, not a wire transfer.
 """
 
@@ -113,12 +112,13 @@ class FedConfig:
             raise ConfigError("adjust_every cannot be negative")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class ServerState:
     global_model: SparseNetwork
-    round: int
     schedule: InputSchedule
     global_removed: np.ndarray
 
@@ -185,12 +185,13 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     return net
 
 
-def aggregate(clients) -> SparseNetwork:
-    """Sample-count-weighted average of client networks with union masks.
+def aggregate(clients) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sample-count-weighted average of client weights and biases.
 
-    Positions a client masked off contribute zero to the average; the
-    result generally exceeds the connection budget and must be
-    resparsified before broadcast.
+    Returns one (weights, bias) pair per layer. A position a client
+    masked off holds weight 0 there, so it counts as zero in the average.
+    No mask is formed: resparsify_and_reconcile decides the next global
+    mask from these weights and the previous global mask.
     """
     clients = list(clients)
     if not clients:
@@ -198,21 +199,18 @@ def aggregate(clients) -> SparseNetwork:
     total = float(sum(n for n, _ in clients))
     # normalized coefficients keep the one-client case exactly the identity
     coeffs = [n_m / total for n_m, _ in clients]
-    first = clients[0][1]
-    layers = []
-    for l, ref in enumerate(first.layers):
+    sums = []
+    for l, ref in enumerate(clients[0][1].layers):
         w = np.zeros_like(ref.weights)
         b = np.zeros_like(ref.bias)
-        m = np.zeros_like(ref.mask)
         for c_m, (_, net) in zip(coeffs, clients):
             w += c_m * net.layers[l].weights
             b += c_m * net.layers[l].bias
-            m |= net.layers[l].mask
-        layers.append(SparseLayer(w, m, b))
-    return SparseNetwork(layers, first.sparsity, first.layer_densities, first.nnz_targets)
+        sums.append((w, b))
+    return sums
 
 
-def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarray,
+def _keep_topk(weights: np.ndarray, kept: np.ndarray, target: int, allowed_rows: np.ndarray,
                adjust: bool, adjust_rate: float) -> np.ndarray:
     """Resolve one layer's kept mask against the aggregated magnitudes.
 
@@ -230,7 +228,7 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
     deficit = target - int(np.count_nonzero(kept))
     if deficit <= 0 and budget == 0:
         return kept
-    w_abs = np.abs(agg_layer.weights)
+    w_abs = np.abs(weights)
     cand = np.flatnonzero(allowed_rows[:, None] & ~kept)
     if len(cand) < deficit:
         raise ConfigError(
@@ -256,19 +254,22 @@ def _keep_topk(agg_layer, kept: np.ndarray, target: int, allowed_rows: np.ndarra
     return kept
 
 
-def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
+def resparsify_and_reconcile(server: ServerState,
+                             aggregated: list[tuple[np.ndarray, np.ndarray]],
                              config: FedConfig, r: int) -> SparseNetwork:
-    """Bring the aggregate back onto the removal schedule and the global budget.
+    """Build the next global model from the aggregate's (weights, bias) pairs.
 
     Input layer first: the globally weakest neurons (by aggregated
     strength, previously removed ones staying removed) are disconnected
     until the removed count matches the schedule's cumulative total. Then
     every layer keeps its previous global mask, refills any deficit from
     the inactive positions on allowed rows by descending |weight| (those
-    outside the union carry weight 0 and tie by index), and, on
-    adjustment rounds (every `adjust_every`-th), may swap up to a fraction
+    no client kept carry weight 0 and tie by index), and, on adjustment
+    rounds (every `adjust_every`-th), may swap up to a fraction
     `adjust_rate` of kept connections for strictly stronger ones.
-    `aggregated` is edited in place and returned.
+    The aggregated arrays become the new model's, zeroed off its mask.
+    `server.global_removed` is updated; `server.global_model`, the
+    previous model, is left for the caller to replace.
     """
     prev = server.global_model
 
@@ -277,21 +278,21 @@ def resparsify_and_reconcile(server: ServerState, aggregated: SparseNetwork,
         extra = server.schedule.T_r - int(removed.sum())
         if extra > 0:
             alive = np.flatnonzero(~removed)
-            removed[alive[smallest(row_strengths(aggregated.layers[0])[alive], extra)]] = True
+            removed[alive[smallest(row_strengths(aggregated[0][0])[alive], extra)]] = True
     server.global_removed = removed
 
     adjust = config.adjust_every > 0 and r % config.adjust_every == 0
-    for l, layer in enumerate(aggregated.layers):
-        allowed_rows = ~removed if l == 0 else np.ones(layer.rows, dtype=bool)
+    layers = []
+    for l, (weights, bias) in enumerate(aggregated):
+        allowed_rows = ~removed if l == 0 else np.ones(len(weights), dtype=bool)
         # removed rows leave the kept mask here; the zeroing below clears
         # their weights
         kept = prev.layers[l].mask & allowed_rows[:, None]
-        kept = _keep_topk(layer, kept, aggregated.nnz_targets[l], allowed_rows,
+        kept = _keep_topk(weights, kept, prev.nnz_targets[l], allowed_rows,
                           adjust, config.adjust_rate)
-        layer.mask = kept
-        layer.weights[~kept] = 0.0
-    aggregated.touch()
-    return aggregated
+        weights[~kept] = 0.0
+        layers.append(SparseLayer(weights, kept, bias))
+    return SparseNetwork(layers, prev.sparsity, prev.layer_densities, prev.nnz_targets)
 
 
 def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> float:
@@ -346,7 +347,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
         raise ConfigError(f"layer 0 must keep {target} connections, but the removal schedule "
                           f"leaves {survivors} of {ds.d} inputs, {survivors} x {dims[1]} = "
                           f"{survivors * dims[1]} positions")
-    server = ServerState(global_model, 0, schedule, np.zeros(ds.d, dtype=bool))
+    server = ServerState(global_model, schedule, np.zeros(ds.d, dtype=bool))
 
     recorder = MetricsRecorder((ds.X, ds.y), data.test, config.batch_size,
                                config.local_epochs)
@@ -354,7 +355,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
 
     with ThreadPoolExecutor(max_workers=config.workers or config.clients) as pool:
         for r in range(1, config.rounds + 1):
-            counts = compute_schedule(schedule, r) if config.feature_selection else None
+            counts = compute_schedule(schedule) if config.feature_selection else None
 
             # drawing every client gives a permutation, so sorted range(clients)
             pick_rng = np.random.default_rng([config.seed, r, 0xC11])
@@ -388,8 +389,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                 raise FloatingPointError(
                     f"round {r}: training diverged (non-finite global weights or biases)"
                 )
-            server.round = r
-            rm = recorder.record_round(server, sizes, drift)
+            rm = recorder.record_round(server.global_model, r, sizes, drift)
             metrics.append(rm)
             log.info("round %d/%d: acc=%.4f connected=%d nnz=%d",
                      r, config.rounds, rm.test_accuracy,

@@ -26,7 +26,7 @@ from .dst_update import (
     regrow_layer_by_gradient,
     smallest,
 )
-from .sparse_net import SparseLayer, SparseNetwork
+from .sparse_net import SparseNetwork
 
 
 def _ceil(x: float) -> int:
@@ -94,8 +94,8 @@ class ScheduleCounts:
         return ScheduleCounts(0, self.n_g)
 
 
-def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
-    """Counts for round r (1-based). Requires history for rounds < r.
+def compute_schedule(sched: InputSchedule) -> ScheduleCounts:
+    """Counts for the next round, r = len(sched.history) + 1 (1-based).
 
     Removal spreads the outstanding budget evenly over the rounds left
     before r_remove, taking the exact remainder at r_remove itself so the
@@ -103,12 +103,9 @@ def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
     fraction of the removed pool, and every count is capped so the
     connected-neuron count stays at or above K.
     """
-    if not 1 <= r <= sched.r_max:
-        raise ValueError(f"round {r} outside 1..{sched.r_max}")
-    if len(sched.history) != r - 1:
-        raise ValueError(
-            f"schedule history has {len(sched.history)} rounds, expected {r - 1}"
-        )
+    r = len(sched.history) + 1
+    if r > sched.r_max:
+        raise ValueError(f"schedule history already covers all {sched.r_max} rounds")
     t_r = sched.T_r
     if r < sched.r_remove:
         n_remove = _ceil((sched.T - t_r) / (sched.r_remove - r))
@@ -122,9 +119,9 @@ def compute_schedule(sched: InputSchedule, r: int) -> ScheduleCounts:
     return ScheduleCounts(n_remove, n_g)
 
 
-def row_strengths(layer: SparseLayer) -> np.ndarray:
+def row_strengths(weights: np.ndarray) -> np.ndarray:
     """L1 norm of each input row's live weights (off-mask weights are 0)."""
-    return np.abs(layer.weights).sum(axis=1)
+    return np.abs(weights).sum(axis=1)
 
 
 @dataclass
@@ -164,7 +161,7 @@ def prune_input(net: SparseNetwork, removed: np.ndarray,
             "are prunable; pruning all of them",
             RuntimeWarning,
         )
-    victims = prunable[smallest(row_strengths(layer)[prunable], n_p, ordered=True)]
+    victims = prunable[smallest(row_strengths(layer.weights)[prunable], n_p, ordered=True)]
     rows, cols = np.nonzero(layer.mask[victims])
     cut(net, 0, victims[rows] * layer.cols + cols, delta)
     connected[victims] = False
@@ -226,7 +223,7 @@ class SelectionResult:
 def select_features(net: SparseNetwork, k: int) -> SelectionResult:
     """Top-k connected input neurons by strength, descending; ties by index."""
     layer = net.layers[0]
-    strengths = row_strengths(layer)
+    strengths = row_strengths(layer.weights)
     connected = np.flatnonzero(layer.mask.any(axis=1))
     shortfall = len(connected) < k
     if shortfall:

@@ -74,9 +74,9 @@ def inference_flops(nnz_per_layer, bias_units_per_layer=None) -> int:
     return total
 
 
-def flops_per_example(net: SparseNetwork) -> int:
-    """Per-example training cost of the sparse network: 3x its inference cost."""
-    return 3 * inference_flops(net.layer_nnz(), [layer.cols for layer in net.layers])
+def flops_per_example(net: SparseNetwork, layer_nnz: list[int]) -> int:
+    """Per-example training cost of `net` with `layer_nnz` live weights: 3x inference."""
+    return 3 * inference_flops(layer_nnz, [layer.cols for layer in net.layers])
 
 
 def upload_cost_bits(n_params: int, sparsity: float) -> int:
@@ -103,8 +103,9 @@ class MetricsRecorder:
         self.cumulative_flops = 0
         self.cumulative_upload_bits = 0
 
-    def record_round(self, server, participant_sizes, client_drift: float) -> RoundMetrics:
-        """Metrics after one completed round.
+    def record_round(self, net: SparseNetwork, r: int, participant_sizes,
+                     client_drift: float) -> RoundMetrics:
+        """Metrics of the global model `net` after round `r`.
 
         `participant_sizes` holds the local sample count of every client
         that trained this round, and `client_drift` their mean drift from
@@ -112,8 +113,8 @@ class MetricsRecorder:
         training examples per client; the connection count is conserved
         across the round, so the per-example cost is well defined.
         """
-        net = server.global_model
-        train_cost = flops_per_example(net)
+        layer_nnz = net.layer_nnz()
+        train_cost = flops_per_example(net, layer_nnz)
         per_model_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
         for n_m in participant_sizes:
             batches = math.ceil(n_m / self.batch_size)
@@ -122,11 +123,11 @@ class MetricsRecorder:
         acc = accuracy(net, self.data, self.test_rows)
         connected = int(net.layers[0].mask.any(axis=1).sum())
         return RoundMetrics(
-            round=server.round,
+            round=r,
             test_accuracy=acc,
             cumulative_flops=self.cumulative_flops,
             cumulative_upload_bits=self.cumulative_upload_bits,
             connected_input_neurons=connected,
-            layer_nnz=net.layer_nnz(),
+            layer_nnz=layer_nnz,
             client_drift=client_drift,
         )

@@ -67,7 +67,7 @@ def test_criterion_2_schedule_exactness():
     sched = InputSchedule(784, 150, 0.2, 0.65, 400)
     realized = []
     for r in range(1, 401):
-        c = compute_schedule(sched, r)
+        c = compute_schedule(sched)
         realized.append(c.n_remove)
         sched.record(c.n_remove)
     total = sum(realized)
@@ -109,7 +109,7 @@ def test_criterion_3_aggregation_oracle():
                     s = sum(n_m * net.layers[l].weights[i, j]
                             for net, n_m in zip(nets, weights)
                             if net.layers[l].mask[i, j])
-                    worst = max(worst, abs(out.layers[l].weights[i, j] - s / total))
+                    worst = max(worst, abs(out[l][0][i, j] - s / total))
     elapsed = time.time() - start
     report(3, "aggregation oracle", worst <= 1e-12 and elapsed < 10,
            f"200 random instances, max |diff| vs dense weighted average = "

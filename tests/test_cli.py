@@ -97,6 +97,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="two clients"):
             load_config(p)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        p = write_cfg(tmp_path, TINY.replace("seed: 11", "seed: -1"))
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert main(["inspect", "--config", p]) == EXIT_CONFIG
+
     def test_type_errors_named(self, tmp_path):
         p = write_cfg(tmp_path, TINY.replace("rounds: 2", "rounds: soon"))
         with pytest.raises(ConfigError, match="rounds"):

@@ -45,23 +45,21 @@ class TestAggregate:
     def test_single_client_identity(self):
         net = init_er_topology([6, 4, 3], 0.5, seed=1)
         out = aggregate([(17, net)])
-        for la, lb in zip(out.layers, net.layers):
-            assert np.array_equal(la.weights, lb.weights)
-            assert np.array_equal(la.mask, lb.mask)
-            assert np.array_equal(la.bias, lb.bias)
+        for (w, b), layer in zip(out, net.layers):
+            assert np.array_equal(w, layer.weights)
+            assert np.array_equal(b, layer.bias)
 
     def test_weighted_mean_at_shared_position(self):
         a = build_net([[[2.0]]])
         b = build_net([[[4.0]]])
         out = aggregate([(1, a), (3, b)])
-        assert out.layers[0].weights[0, 0] == pytest.approx(3.5, abs=1e-15)
+        assert out[0][0][0, 0] == pytest.approx(3.5, abs=1e-15)
 
     def test_zero_fill_for_missing_position(self):
         a = build_net([[[4.0]]])
         b = build_net([[[0.0]]], masks=[[[0]]])
         out = aggregate([(1, a), (1, b)])
-        assert out.layers[0].weights[0, 0] == pytest.approx(2.0, abs=1e-15)
-        assert out.layers[0].mask[0, 0]  # union mask
+        assert out[0][0][0, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_brute_force_oracle(self):
         for trial in range(50):
@@ -76,7 +74,7 @@ class TestAggregate:
                 weights.append(int(rng.integers(1, 100)))
             out = aggregate(list(zip(weights, nets)))
             oracle = brute_force_average(nets, weights)
-            assert np.max(np.abs(out.layers[0].weights - oracle[0])) <= 1e-12
+            assert np.max(np.abs(out[0][0] - oracle[0])) <= 1e-12
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)
@@ -86,7 +84,7 @@ class TestAggregate:
             nets.append(build_net([rng.normal(size=(5, 4)) * mask], masks=[mask]))
         a = aggregate([(1, nets[0]), (2, nets[1]), (3, nets[2])])
         b = aggregate([(3, nets[2]), (1, nets[0]), (2, nets[1])])
-        assert np.allclose(a.layers[0].weights, b.layers[0].weights, atol=1e-12)
+        assert np.allclose(a[0][0], b[0][0], atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +127,7 @@ class TestSharedMaskDrift:
 def make_server(dims, sparsity, seed, rounds=10, k=2, zeta=0.2, beta=0.5):
     net = init_er_topology(dims, sparsity, seed)
     sched = InputSchedule(dims[0], k, zeta, beta, rounds)
-    return ServerState(net, 0, sched, np.zeros(dims[0], dtype=bool))
+    return ServerState(net, sched, np.zeros(dims[0], dtype=bool))
 
 
 class TestResparsify:
@@ -144,11 +142,11 @@ class TestResparsify:
         client = server.global_model.copy()
         client.layers[1].weights[client.layers[1].mask] += 0.25
         agg = aggregate([(1, client), (1, client.copy())])
-        handed = agg.copy()  # resparsify edits the aggregate in place
+        handed = [w.copy() for w, _ in agg]  # resparsify takes over the aggregated arrays
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
-        for lo, la in zip(out.layers, handed.layers):
-            assert np.array_equal(lo.mask, la.mask)
-            assert np.array_equal(lo.weights, la.weights)
+        for lo, lc, w in zip(out.layers, client.layers, handed):
+            assert np.array_equal(lo.mask, lc.mask)
+            assert np.array_equal(lo.weights, w)
 
     def test_nnz_restored_every_round(self):
         rng = np.random.default_rng(4)
@@ -175,7 +173,6 @@ class TestResparsify:
             assert out.layer_nnz() == targets
             out.validate()
             server.global_model = out
-            server.round = r
 
     def test_disjoint_removals_reconciled_by_strength(self):
         # two clients disconnect disjoint neuron pairs; with a removal
@@ -193,7 +190,7 @@ class TestResparsify:
             clients.append((1, c))
         agg = aggregate(clients)
         expected = sorted(
-            range(6), key=lambda i: (row_strengths(agg.layers[0])[i], i)
+            range(6), key=lambda i: (row_strengths(agg[0][0])[i], i)
         )[:2]
         server.schedule.record(2)
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
@@ -229,7 +226,7 @@ class TestResparsify:
         layer.weights[oi, oj] = 50.0
         agg = aggregate([(1, client)])
         server.schedule.record(0)
-        out = resparsify_and_reconcile(server, agg.copy(), cfg, r=1)
+        out = resparsify_and_reconcile(server, [(w.copy(), b.copy()) for w, b in agg], cfg, r=1)
         assert out.layers[1].mask[oi, oj]
         cfg_noadj = self.config(adjust_every=10, adjust_rate=0.4)
         out2 = resparsify_and_reconcile(server, agg, cfg_noadj, r=1)
@@ -268,7 +265,7 @@ class TestLocalTrain:
 
     def train(self, parts, net, sched, r, config):
         return local_train(parts.data.X, parts.data.y, parts.shards[0], net,
-                           compute_schedule(sched, r), r, config, np.zeros(6, dtype=bool))
+                           compute_schedule(sched), r, config, np.zeros(6, dtype=bool))
 
     def test_zero_epochs_returns_model_unchanged(self):
         parts = tiny_partition()
@@ -362,12 +359,11 @@ class TestRunTraining:
         sched = InputSchedule(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds)
         outs = []
         for m in range(2):
-            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, compute_schedule(sched, 1),
+            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, compute_schedule(sched),
                                     1, cfg, np.zeros(6, dtype=bool)))
         agg = aggregate([(12, outs[0]), (12, outs[1])])
-        for lo, la in zip(outs[0].layers, agg.layers):
-            shared = lo.mask & la.mask
-            assert np.max(np.abs((lo.weights - la.weights)[shared])) <= 1e-12
+        for lo, (w, _) in zip(outs[0].layers, agg):
+            assert np.max(np.abs((lo.weights - w)[lo.mask])) <= 1e-12
 
     def test_empty_shard_rejected(self):
         parts = tiny_partition()

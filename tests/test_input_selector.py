@@ -31,18 +31,18 @@ class TestNeuronStrength:
 
     def test_l1_sum(self):
         net = input_net([[0.5, -0.3, 0.2], [0.0, 0.0, 0.0]])
-        assert row_strengths(net.layers[0])[0] == pytest.approx(1.0)
+        assert row_strengths(net.layers[0].weights)[0] == pytest.approx(1.0)
 
     def test_disconnected_row_is_zero(self):
         net = input_net([[0.5, 0.1], [0.0, 0.0]], mask=[[1, 1], [0, 0]])
-        assert row_strengths(net.layers[0])[1] == 0.0
+        assert row_strengths(net.layers[0].weights)[1] == 0.0
 
     def test_absolute_value(self):
         net = input_net([[-2.0]])
-        assert row_strengths(net.layers[0])[0] == pytest.approx(2.0)
+        assert row_strengths(net.layers[0].weights)[0] == pytest.approx(2.0)
 
     def test_index_bounds(self):
-        strengths = row_strengths(input_net([[1.0]]).layers[0])
+        strengths = row_strengths(input_net([[1.0]]).layers[0].weights)
         assert strengths.shape == (1,)
         with pytest.raises(IndexError):
             strengths[1]
@@ -59,20 +59,20 @@ class TestSchedule:
 
     def test_round_one(self):
         s = self.config()
-        c = compute_schedule(s, 1)
+        c = compute_schedule(s)
         assert (c.n_p, c.n_remove, c.n_g) == (2, 2, 0)
 
     def test_round_two(self):
         s = self.config()
         s.record(2)
-        c = compute_schedule(s, 2)
+        c = compute_schedule(s)
         assert (c.n_p, c.n_remove, c.n_g) == (3, 2, 1)
 
     def test_degenerate_when_k_covers_everything(self):
         s = InputSchedule(100, 90, 0.2, 0.65, 50)  # K >= (1-zeta)*D
         assert s.T == 0
         for r in range(1, 51):
-            c = compute_schedule(s, r)
+            c = compute_schedule(s)
             assert c.n_remove == 0
             s.record(c.n_remove)
 
@@ -80,7 +80,7 @@ class TestSchedule:
         s = self.config()
         realized = []
         for r in range(1, 401):
-            c = compute_schedule(s, r)
+            c = compute_schedule(s)
             realized.append(c.n_remove)
             s.record(c.n_remove)
             assert s.T_r <= s.T
@@ -90,27 +90,22 @@ class TestSchedule:
 
     def test_round_out_of_range(self):
         s = self.config()
-        with pytest.raises(ValueError):
-            compute_schedule(s, 0)
-        with pytest.raises(ValueError):
-            compute_schedule(s, 401)
-
-    def test_history_must_match(self):
-        s = self.config()
-        with pytest.raises(ValueError, match="history"):
-            compute_schedule(s, 3)
+        for _ in range(400):
+            s.record(compute_schedule(s).n_remove)
+        with pytest.raises(ValueError, match="400 rounds"):
+            compute_schedule(s)
 
     def test_regrowth_capped_by_removed_pool(self):
         s = InputSchedule(100, 10, 0.9, 0.5, 10)
         s.history = [1]
-        c = compute_schedule(s, 2)
+        c = compute_schedule(s)
         assert c.n_g <= 1
 
     def test_connected_never_below_k(self):
         # adversarial small config: caps must keep D - T_r - n_p >= K
         s = InputSchedule(20, 8, 0.2, 0.5, 10)
         for r in range(1, 11):
-            c = compute_schedule(s, r)
+            c = compute_schedule(s)
             assert s.D - s.T_r - c.n_p >= s.K
             s.record(c.n_remove)
 
@@ -123,7 +118,7 @@ class TestSchedule:
         beta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         s = InputSchedule(D, K, zeta, beta, data.draw(st.integers(1, 80)))
         for r in range(1, s.r_max + 1):
-            c = compute_schedule(s, r)
+            c = compute_schedule(s)
             assert c.n_p >= c.n_remove >= 0 and c.n_g >= 0
             if r > s.r_remove:
                 assert c.n_remove == 0

@@ -91,8 +91,8 @@ class TestFlops:
 
     def test_training_is_three_times_inference(self):
         net = init_er_topology([50, 20, 5], 0.5, seed=0)
-        cols = [layer.cols for layer in net.layers]
-        assert flops_per_example(net) == 3 * inference_flops(net.layer_nnz(), cols)
+        nnz, cols = net.layer_nnz(), [layer.cols for layer in net.layers]
+        assert flops_per_example(net, nnz) == 3 * inference_flops(nnz, cols)
 
     def test_sparse_dense_proportionality(self):
         dims = [784, 200, 200, 10]
@@ -106,7 +106,7 @@ class TestFlops:
         a = init_er_topology([30, 10, 4], 0.5, seed=1)
         b = init_er_topology([30, 10, 4], 0.5, seed=1)
         b.layers[0].weights *= 100.0
-        assert flops_per_example(a) == flops_per_example(b)
+        assert flops_per_example(a, a.layer_nnz()) == flops_per_example(b, b.layer_nnz())
 
 
 class TestUploadCost:
@@ -130,12 +130,6 @@ class TestUploadCost:
             upload_cost_bits(10, 1.5)
 
 
-class FakeServer:
-    def __init__(self, net, rnd):
-        self.global_model = net
-        self.round = rnd
-
-
 class TestRecordRound:
     def make_recorder(self, net, batch=10, epochs=2):
         rng = np.random.default_rng(0)
@@ -146,7 +140,7 @@ class TestRecordRound:
     def test_no_participants_no_cost(self):
         net = init_er_topology([6, 4, 2], 0.5, seed=0)
         rec = self.make_recorder(net)
-        m = rec.record_round(FakeServer(net, 1), [], 0.0)
+        m = rec.record_round(net, 1, [], 0.0)
         assert m.cumulative_flops == 0
         assert m.cumulative_upload_bits == 0
 
@@ -154,8 +148,8 @@ class TestRecordRound:
         net = init_er_topology([6, 4, 2], 0.5, seed=0)
         rec1 = self.make_recorder(net)
         rec2 = self.make_recorder(net)
-        one = rec1.record_round(FakeServer(net, 1), [30], 0.0)
-        two = rec2.record_round(FakeServer(net, 1), [30, 30], 0.0)
+        one = rec1.record_round(net, 1, [30], 0.0)
+        two = rec2.record_round(net, 1, [30, 30], 0.0)
         assert two.cumulative_upload_bits == 2 * one.cumulative_upload_bits
         assert two.cumulative_flops == 2 * one.cumulative_flops
 
@@ -165,16 +159,16 @@ class TestRecordRound:
         sizes = [17] * 10  # 10 identical clients
         last = None
         for r in range(1, 6):
-            last = rec.record_round(FakeServer(net, r), sizes, 0.0)
+            last = rec.record_round(net, r, sizes, 0.0)
         per_client_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
         assert last.cumulative_upload_bits == 5 * 10 * per_client_bits
         import math
-        per_client_flops = 3 * math.ceil(17 / 8) * 8 * flops_per_example(net)
+        per_client_flops = 3 * math.ceil(17 / 8) * 8 * flops_per_example(net, net.layer_nnz())
         assert last.cumulative_flops == 5 * 10 * per_client_flops
 
     def test_round_record_holds_layer_nnz_and_drift(self):
         net = init_er_topology([8, 6, 2], 0.5, seed=2)
-        m = self.make_recorder(net).record_round(FakeServer(net, 1), [10], 0.25)
+        m = self.make_recorder(net).record_round(net, 1, [10], 0.25)
         assert m.layer_nnz == net.layer_nnz()
         assert m.global_nnz == net.nnz()
         assert m.client_drift == 0.25
@@ -186,7 +180,7 @@ class TestRecordRound:
         rec = self.make_recorder(net)
         prev_f = prev_u = -1
         for r in range(1, 5):
-            m = rec.record_round(FakeServer(net, r), [10, 20], 0.0)
+            m = rec.record_round(net, r, [10, 20], 0.0)
             assert m.cumulative_flops > prev_f
             assert m.cumulative_upload_bits > prev_u
             prev_f, prev_u = m.cumulative_flops, m.cumulative_upload_bits

@@ -219,9 +219,10 @@ class TestCallSites:
         adjust = data.draw(st.booleans())
         rate = data.draw(st.sampled_from([0.0, 0.3, 0.6, 0.99]))
         outcomes = []
-        for keep in (_keep_topk, ref.keep_topk):
+        # the reference takes the layer, _keep_topk its weights
+        for keep, arg in ((_keep_topk, layer.weights), (ref.keep_topk, layer)):
             try:
-                outcomes.append(keep(layer, kept.copy(), target, allowed_rows, adjust, rate))
+                outcomes.append(keep(arg, kept.copy(), target, allowed_rows, adjust, rate))
             except ConfigError:
                 outcomes.append(None)
         new, old = outcomes

@@ -188,7 +188,7 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
                        local_epochs=local_epochs, batch_size=6, lr=0.1, zeta=0.3, beta=0.5,
                        mu=mu, seed=3)
     broadcast = random_net(rng, [d, 8, 6, 3], 0.4)
-    counts = compute_schedule(InputSchedule(d, 4, config.zeta, config.beta, config.rounds), 1)
+    counts = compute_schedule(InputSchedule(d, 4, config.zeta, config.beta, config.rounds))
     assert counts.n_remove > 0
     removed = np.zeros(d, dtype=bool)
 
