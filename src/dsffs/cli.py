@@ -23,7 +23,7 @@ import yaml
 
 from .data import (Dataset, generate_synthetic, load_csv, load_idx, load_libsvm, normalize,
                    partition_noniid)
-from .fed_core import FedConfig, run_training
+from .fed_core import FedConfig, plan_run, run_training
 from .metrics import RoundMetrics
 from .sparse_net import ConfigError
 
@@ -297,16 +297,23 @@ def _histogram_line(y: np.ndarray, n_classes: int) -> str:
 
 
 def cmd_inspect(args) -> int:
-    """Print the dataset and the client partition a run of this config trains on."""
-    parts = prepare(load_config(args.config))
+    """Print the dataset, partition and plan (`plan_run`) a run of this config has."""
+    cfg = load_config(args.config)
+    parts = prepare(cfg)
+    dims, k, targets, removal = plan_run(cfg, parts)
     ds = parts.data
     print(f"name: {ds.name}")
     print(f"N={ds.n} D={ds.d} C={ds.n_classes}")
     print("class histogram:", _histogram_line(ds.y, ds.n_classes))
     print(f"test split: {len(parts.test)} samples")
-    for k, shard in enumerate(parts.shards):
-        print(f"shard {k}: {len(shard)} samples |",
+    for m, shard in enumerate(parts.shards):
+        print(f"shard {m}: {len(shard)} samples |",
               _histogram_line(ds.y[shard], ds.n_classes))
+    rows = ds.d - removal.T
+    print("layers:", "-".join(map(str, dims)), "| connection targets:", *targets)
+    print(f"removal: T={removal.T} r_remove={removal.r_remove} K={k}, {rows} inputs left")
+    print(f"layer 0 after removal: {rows} rows x {dims[1]} = {rows * dims[1]} positions "
+          f"for {targets[0]} connections")
     return EXIT_OK
 
 
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=cmd_figure1)
 
-    p_ins = sub.add_parser("inspect", help="print the dataset and partition a run trains on")
+    p_ins = sub.add_parser("inspect", help="print the dataset, partition and plan of a run")
     p_ins.add_argument("--config", required=True)
     p_ins.set_defaults(func=cmd_inspect)
     return parser

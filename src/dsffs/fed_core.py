@@ -31,12 +31,12 @@ from .dst_update import (
     smallest,
 )
 from .input_selector import (
-    InputSchedule,
+    RemovalPlan,
     ScheduleCounts,
     SelectionResult,
-    compute_schedule,
     prune_input,
     regrow_input,
+    removal_plan,
     row_strengths,
     select_features,
 )
@@ -46,6 +46,7 @@ from .sparse_net import (
     SparseLayer,
     SparseNetwork,
     backward,
+    er_allocation,
     forward,
     init_er_topology,
     mask_velocity,
@@ -79,52 +80,41 @@ class FedConfig:
     feature_selection: bool = True
 
     def validate(self) -> None:
-        if self.clients < 2:
-            raise ConfigError("a federation needs at least two clients")
         cpr = self.clients_per_round
-        if cpr is not None and not 1 <= cpr <= self.clients:
-            raise ConfigError(
-                f"clients_per_round must be in 1..{self.clients}, got {cpr}"
-            )
-        if self.local_epochs < 0:
-            raise ConfigError("local_epochs cannot be negative")
-        if self.rounds < 1:
-            raise ConfigError("need at least one round")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if not 0.0 <= self.zeta < 1.0:
-            raise ConfigError(f"zeta must be in [0, 1), got {self.zeta}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.mu < 0:
-            raise ConfigError(f"mu cannot be negative, got {self.mu}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.k_features < 1:
-            raise ConfigError("k_features must be at least 1")
-        if not 0.0 <= self.adjust_rate < 1.0:
-            raise ConfigError(f"adjust_rate must be in [0, 1), got {self.adjust_rate}")
-        if self.adjust_every < 0:
-            raise ConfigError("adjust_every cannot be negative")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for ok, problem in [
+            (self.clients >= 2, "a federation needs at least two clients"),
+            (cpr is None or 1 <= cpr <= self.clients,
+             f"clients_per_round must be in 1..{self.clients}, got {cpr}"),
+            (self.local_epochs >= 0, "local_epochs cannot be negative"),
+            (self.rounds >= 1, "need at least one round"),
+            (0.0 <= self.sparsity < 1.0, f"sparsity must be in [0, 1), got {self.sparsity}"),
+            (0.0 <= self.zeta < 1.0, f"zeta must be in [0, 1), got {self.zeta}"),
+            (0.0 < self.beta < 1.0, f"beta must be in (0, 1), got {self.beta}"),
+            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (0.0 <= self.momentum < 1.0, f"momentum must be in [0, 1), got {self.momentum}"),
+            (self.mu >= 0, f"mu cannot be negative, got {self.mu}"),
+            (self.batch_size >= 1, "batch_size must be at least 1"),
+            (self.k_features >= 1, "k_features must be at least 1"),
+            (0.0 <= self.adjust_rate < 1.0,
+             f"adjust_rate must be in [0, 1), got {self.adjust_rate}"),
+            (self.adjust_every >= 0, "adjust_every cannot be negative"),
+            (self.workers is None or self.workers >= 1,
+             f"workers must be at least 1, got {self.workers}"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
+        ]:
+            if not ok:
+                raise ConfigError(problem)
 
 
 @dataclass
 class ServerState:
     global_model: SparseNetwork
-    schedule: InputSchedule
+    schedule: RemovalPlan
     global_removed: np.ndarray
 
 
 def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: SparseNetwork,
-                counts: ScheduleCounts | None, r: int, config: FedConfig,
+                counts: ScheduleCounts, r: int, config: FedConfig,
                 global_removed: np.ndarray) -> SparseNetwork:
     """Train one client on its shard for Q epochs from the broadcast model.
 
@@ -135,8 +125,8 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     update: the dense gradient is re-evaluated on the epoch's last
     minibatch at the post-step weights and feeds both the input-layer and
     the hidden-layer prune/regrow; before another epoch, the momentum
-    moves onto the new masks. `counts` is the round's neuron schedule
-    (None when feature selection is off): the first epoch applies it,
+    moves onto the new masks. `counts` is the round's neuron schedule,
+    read only when feature selection is on: the first epoch applies it,
     later epochs apply steady-state churn (equal prune/regrow, no net
     removal).
     """
@@ -261,7 +251,7 @@ def resparsify_and_reconcile(server: ServerState,
 
     Input layer first: the globally weakest neurons (by aggregated
     strength, previously removed ones staying removed) are disconnected
-    until the removed count matches the schedule's cumulative total. Then
+    until the removed count matches the plan's removals through round r. Then
     every layer keeps its previous global mask, refills any deficit from
     the inactive positions on allowed rows by descending |weight| (those
     no client kept carry weight 0 and tie by index), and, on adjustment
@@ -274,11 +264,10 @@ def resparsify_and_reconcile(server: ServerState,
     prev = server.global_model
 
     removed = server.global_removed.copy()
-    if config.feature_selection:
-        extra = server.schedule.T_r - int(removed.sum())
-        if extra > 0:
-            alive = np.flatnonzero(~removed)
-            removed[alive[smallest(row_strengths(aggregated[0][0])[alive], extra)]] = True
+    extra = sum(server.schedule.history[:r]) - int(removed.sum())
+    if extra > 0:
+        alive = np.flatnonzero(~removed)
+        removed[alive[smallest(row_strengths(aggregated[0][0])[alive], extra)]] = True
     server.global_removed = removed
 
     adjust = config.adjust_every > 0 and r % config.adjust_every == 0
@@ -307,20 +296,13 @@ def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> 
     return math.sqrt(total)
 
 
-def run_training(config: FedConfig, data: PartitionedDataset):
-    """Full federated run; returns (server, per-round metrics, selection).
+def plan_run(config: FedConfig, data: PartitionedDataset):
+    """Check a config against its data; fix what a run knows before round 1.
 
-    Each round the server fixes the neuron schedule once, the selected
-    clients train in a thread pool of config.workers threads (default one
-    per client), and the server aggregates and resparsifies. Every client
-    draws its randomness from (seed, round, epoch) and aggregation walks
-    clients in id order, so results do not depend on the thread count or
-    on scheduling.
-
-    What stays resident is the one normalized matrix in `data`, which
-    every client indexes through its shard and the evaluator through the
-    test index, plus the global model and one round of client networks:
-    those are released once they are aggregated.
+    Returns (layer dims, K, per-layer connection targets, removal plan) and
+    raises every ConfigError a run can meet before training. K is
+    k_features capped at the input width. With feature selection off the
+    removal plan keeps every input: T = 0 and every count is zero.
     """
     config.validate()
     if data.n_clients != config.clients:
@@ -332,31 +314,53 @@ def run_training(config: FedConfig, data: PartitionedDataset):
             raise ConfigError(f"client {m} has an empty shard")
     if len(data.test) == 0:
         raise ConfigError("held-out test split is empty")
-
     ds = data.data
+    if ds.n_classes < 2:
+        raise ConfigError(f"need at least two classes, the data has {ds.n_classes}")
+
     dims = [ds.d] + list(config.hidden_dims) + [ds.n_classes]
+    _, targets = er_allocation(dims, config.sparsity)
     k = min(config.k_features, ds.d)
     if k < config.k_features:
         log.warning("k_features %d exceeds feature count %d; using %d",
                     config.k_features, ds.d, k)
+    removal = removal_plan(ds.d, k if config.feature_selection else ds.d,
+                           config.zeta, config.beta, config.rounds)
+    survivors = ds.d - removal.T
+    if targets[0] > survivors * dims[1]:
+        raise ConfigError(f"layer 0 must keep {targets[0]} connections, but the removal "
+                          f"schedule leaves {survivors} of {ds.d} inputs, {survivors} x "
+                          f"{dims[1]} = {survivors * dims[1]} positions")
+    return dims, k, targets, removal
 
-    global_model = init_er_topology(dims, config.sparsity, config.seed)
-    schedule = InputSchedule(ds.d, k, config.zeta, config.beta, config.rounds)
-    target, survivors = global_model.nnz_targets[0], ds.d - schedule.T
-    if config.feature_selection and target > survivors * dims[1]:
-        raise ConfigError(f"layer 0 must keep {target} connections, but the removal schedule "
-                          f"leaves {survivors} of {ds.d} inputs, {survivors} x {dims[1]} = "
-                          f"{survivors * dims[1]} positions")
-    server = ServerState(global_model, schedule, np.zeros(ds.d, dtype=bool))
+
+def run_training(config: FedConfig, data: PartitionedDataset):
+    """Full federated run; returns (server, per-round metrics, selection).
+
+    `plan_run` checks the config and fixes the run's shape and neuron
+    schedule; then each round the selected clients train in a thread pool
+    of config.workers threads (default one per client) on that round's
+    planned counts, and the server aggregates and resparsifies. Every
+    client draws its randomness from (seed, round, epoch) and aggregation
+    walks clients in id order, so results do not depend on the thread
+    count or on scheduling.
+
+    What stays resident is the one normalized matrix in `data`, which
+    every client indexes through its shard and the evaluator through the
+    test index, plus the global model and one round of client networks:
+    those are released once they are aggregated.
+    """
+    dims, k, _, removal = plan_run(config, data)
+    ds = data.data
+    server = ServerState(init_er_topology(dims, config.sparsity, config.seed), removal,
+                         np.zeros(ds.d, dtype=bool))
 
     recorder = MetricsRecorder((ds.X, ds.y), data.test, config.batch_size,
                                config.local_epochs)
     metrics: list[RoundMetrics] = []
 
     with ThreadPoolExecutor(max_workers=config.workers or config.clients) as pool:
-        for r in range(1, config.rounds + 1):
-            counts = compute_schedule(schedule) if config.feature_selection else None
-
+        for r, counts in enumerate(removal.counts, start=1):
             # drawing every client gives a permutation, so sorted range(clients)
             pick_rng = np.random.default_rng([config.seed, r, 0xC11])
             selected = sorted(int(i) for i in pick_rng.choice(
@@ -381,8 +385,6 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                 drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
                 aggregated = aggregate(zip(sizes, nets))
             del nets
-            if config.feature_selection:
-                schedule.record(counts.n_remove)
             server.global_model = resparsify_and_reconcile(server, aggregated, config, r)
             if not all(np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()
                        for layer in server.global_model.layers):

@@ -1,19 +1,21 @@
 """Input-layer feature selection dynamics.
 
 An input neuron's strength is the L1 norm of its live weights; weak
-neurons are progressively disconnected on a round-indexed schedule until
-only a reduced pool remains, from which the top-K strongest are reported
-as the selected features. Only this neuron stage is specific to the input
-layer: within each update its connections churn through the same
-`dst_update` prune and regrow as every other layer, which conserves its
-connection count.
+neurons are progressively disconnected until only a reduced pool remains,
+from which the top-K strongest are reported as the selected features. How
+many go and come back in each round is a plan, `removal_plan`, fixed
+before round 1 by (D, K, zeta, beta, rounds) alone; which neurons go is
+decided by strength as training runs. Only this neuron stage is specific
+to the input layer: within each update its connections churn through the
+same `dst_update` prune and regrow as every other layer, which conserves
+its connection count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,49 +36,6 @@ def _ceil(x: float) -> int:
     return int(math.ceil(round(x, 9)))
 
 
-@dataclass
-class InputSchedule:
-    """Round-indexed plan for shrinking the connected input-neuron set.
-
-    Over rounds 1..r_remove a total of T neurons are net-removed, where
-    T = max(0, ceil((1 - zeta) * D - K)), leaving D - T connected at the
-    end (about zeta*D + K). `history` records the realized per-round
-    removal counts; its running sum is the cumulative removal count used
-    by the per-round formulas.
-    """
-
-    D: int
-    K: int
-    zeta: float
-    beta: float
-    r_max: int
-    history: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.D < 1 or self.K < 1:
-            raise ValueError("D and K must be positive")
-        if self.K > self.D:
-            raise ValueError(f"cannot select {self.K} features out of {self.D}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if not 0.0 <= self.zeta < 1.0:
-            raise ValueError(f"zeta must be in [0, 1), got {self.zeta}")
-        if self.r_max < 1:
-            raise ValueError("r_max must be at least 1")
-        # at least round 1, or a beta * r_max that rounds to 0 would
-        # leave no round to remove the budget in
-        self.r_remove = max(1, _ceil(self.beta * self.r_max))
-        self.T = max(0, _ceil((1.0 - self.zeta) * self.D - self.K))
-
-    @property
-    def T_r(self) -> int:
-        """Neurons net-removed in all recorded rounds so far."""
-        return sum(self.history)
-
-    def record(self, n_remove: int) -> None:
-        self.history.append(int(n_remove))
-
-
 @dataclass(frozen=True)
 class ScheduleCounts:
     """Neuron counts for one update: net-removed and regrown."""
@@ -94,29 +53,47 @@ class ScheduleCounts:
         return ScheduleCounts(0, self.n_g)
 
 
-def compute_schedule(sched: InputSchedule) -> ScheduleCounts:
-    """Counts for the next round, r = len(sched.history) + 1 (1-based).
+@dataclass(frozen=True)
+class RemovalPlan:
+    """The neuron schedule of a whole run; see removal_plan."""
 
-    Removal spreads the outstanding budget evenly over the rounds left
-    before r_remove, taking the exact remainder at r_remove itself so the
-    realized removals sum to T. The regrowth count is a linearly decaying
-    fraction of the removed pool, and every count is capped so the
-    connected-neuron count stays at or above K.
+    T: int                              # neurons net-removed over the run
+    r_remove: int                       # the round that removes the last of them
+    counts: tuple[ScheduleCounts, ...]  # round r's counts at index r - 1
+
+    @property
+    def history(self) -> list[int]:
+        """Neurons net-removed in each round; they sum to T."""
+        return [c.n_remove for c in self.counts]
+
+
+def removal_plan(D: int, K: int, zeta: float, beta: float, rounds: int) -> RemovalPlan:
+    """Every round's counts, a pure function of (D, K, zeta, beta, rounds).
+
+    Rounds 1..r_remove, r_remove = ceil(beta * rounds), net-remove
+    T = max(0, ceil((1 - zeta) * D - K)) neurons, leaving D - T (about
+    zeta*D + K): each spreads the outstanding budget evenly over the rounds
+    left, and r_remove takes the exact remainder. Regrowth is a linearly
+    decaying fraction of the neurons removed so far, and every count is
+    capped so at least K neurons stay connected.
     """
-    r = len(sched.history) + 1
-    if r > sched.r_max:
-        raise ValueError(f"schedule history already covers all {sched.r_max} rounds")
-    t_r = sched.T_r
-    if r < sched.r_remove:
-        n_remove = _ceil((sched.T - t_r) / (sched.r_remove - r))
-    elif r == sched.r_remove:
-        n_remove = sched.T - t_r
-    else:
-        n_remove = 0
-    n_g = min(_ceil(sched.zeta * (1.0 - r / sched.r_max) * t_r), t_r)
-    headroom = sched.D - t_r - n_remove - sched.K
-    n_g = max(0, min(n_g, headroom))
-    return ScheduleCounts(n_remove, n_g)
+    # at least round 1, or a beta * rounds that rounds to 0 would leave no
+    # round to remove the budget in
+    r_remove = max(1, _ceil(beta * rounds))
+    T = max(0, _ceil((1.0 - zeta) * D - K))
+    counts, t_r = [], 0
+    for r in range(1, rounds + 1):
+        if r < r_remove:
+            n_remove = _ceil((T - t_r) / (r_remove - r))
+        elif r == r_remove:
+            n_remove = T - t_r
+        else:
+            n_remove = 0
+        n_g = min(_ceil(zeta * (1.0 - r / rounds) * t_r), t_r)
+        headroom = D - t_r - n_remove - K
+        counts.append(ScheduleCounts(n_remove, max(0, min(n_g, headroom))))
+        t_r += n_remove
+    return RemovalPlan(T, r_remove, tuple(counts))
 
 
 def row_strengths(weights: np.ndarray) -> np.ndarray:

@@ -94,21 +94,15 @@ class SparseNetwork:
                 raise AssertionError(f"layer {l}: nonzero weight at masked-off position")
 
 
-def init_er_topology(layer_dims, sparsity: float, seed: int) -> SparseNetwork:
-    """Build a random sparse MLP with Erdos-Renyi layer allocation.
+def er_allocation(dims: list[int], sparsity: float) -> tuple[list[float], list[int]]:
+    """Per-layer (densities, connection targets) of the Erdos-Renyi allocation.
 
     Per-layer density is proportional to (fan_in + fan_out) / (fan_in *
     fan_out), with the scale calibrated so the total connection count is
     (1 - sparsity) of the dense parameter count. Layers whose allocation
     reaches 1.0 are made dense and the surplus budget is redistributed over
-    the remaining layers. Every row and every column is seeded with one
-    connection before the rest of the budget lands uniformly at random: a
-    unit with empty fan-in and zero bias would sit exactly on the ReLU kink
-    and never learn, and an input row born empty would count as a feature
-    dropped without ever being scored. Live weights are zero-mean normals
-    scaled by fan-in; biases start at zero.
+    the remaining layers.
     """
-    dims = [int(d) for d in layer_dims]
     if len(dims) < 2:
         raise ConfigError("need at least an input and an output dimension")
     if any(d < 1 for d in dims):
@@ -147,10 +141,24 @@ def init_er_topology(layer_dims, sparsity: float, seed: int) -> SparseNetwork:
                 f"sparsity {sparsity} leaves layer {i} ({r}x{c}) with "
                 f"{targets[i]} connections, fewer than one per unit"
             )
+    return densities, targets
 
+
+def init_er_topology(layer_dims, sparsity: float, seed: int) -> SparseNetwork:
+    """Build a random sparse MLP on the `er_allocation` connection targets.
+
+    Every row and every column is seeded with one connection before the
+    rest of a layer's target lands uniformly at random: a unit with empty
+    fan-in and zero bias would sit exactly on the ReLU kink and never
+    learn, and an input row born empty would count as a feature dropped
+    without ever being scored. Live weights are zero-mean normals scaled by
+    fan-in; biases start at zero.
+    """
+    dims = [int(d) for d in layer_dims]
+    densities, targets = er_allocation(dims, sparsity)
     rng = np.random.default_rng(seed)
     layers = []
-    for i, (r, c) in enumerate(shapes):
+    for i, (r, c) in enumerate(zip(dims[:-1], dims[1:])):
         mask = np.zeros((r, c), dtype=bool)
         # column seeds spread over distinct rows, then cover leftover rows;
         # the seed count is exactly max(r, c)

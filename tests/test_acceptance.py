@@ -18,7 +18,7 @@ import pytest
 from dsffs.cli import ExperimentConfig, main, prepare
 from dsffs.data import Dataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import FedConfig, aggregate, run_training
-from dsffs.input_selector import InputSchedule, compute_schedule
+from dsffs.input_selector import removal_plan
 from dsffs.metrics import inference_flops, upload_cost_bits
 from dsffs.sparse_net import backward, forward, init_er_topology
 
@@ -64,18 +64,14 @@ def test_criterion_1_sparsity_conservation():
 
 def test_criterion_2_schedule_exactness():
     start = time.time()
-    sched = InputSchedule(784, 150, 0.2, 0.65, 400)
-    realized = []
-    for r in range(1, 401):
-        c = compute_schedule(sched)
-        realized.append(c.n_remove)
-        sched.record(c.n_remove)
+    plan = removal_plan(784, 150, 0.2, 0.65, 400)
+    realized = plan.history
     total = sum(realized)
-    connected_end = sched.D - sched.T_r
+    connected_end = 784 - total
     tail_zero = all(n == 0 for n in realized[260:])
     elapsed = time.time() - start
     report(2, "schedule exactness",
-           sched.r_remove == 260 and sched.T == 478 and total == 478
+           len(realized) == 400 and plan.r_remove == 260 and plan.T == 478 and total == 478
            and connected_end == 306 and tail_zero and elapsed < 1.0,
            f"r_remove=260, sum(n_remove)={total}, connected at end={connected_end}, "
            f"n_remove=0 beyond round 260, {elapsed * 1000:.0f}ms")

@@ -4,7 +4,9 @@ roundbench/child.py --trace 1 wraps module attributes of dsffs by name
 (roundbench/spans.py) and reads the server state a run returns, so a
 package change that drops or renames one of them breaks the benchmark.
 This runs one traced child on a tiny feasible config in a fresh process,
-the way roundbench/run.py does.
+the way roundbench/run.py does, with input selection on and off: the
+child's schedule check expects T removals with it on and none with it off
+(mnist_shape's path).
 """
 
 import json
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,9 +26,11 @@ TINY = {
 }
 
 
-def test_traced_child_run_reports_no_problems(tmp_path):
+@pytest.mark.parametrize("feature_selection", [True, False])
+def test_traced_child_run_reports_no_problems(tmp_path, feature_selection):
+    config = dict(TINY, feature_selection=feature_selection)
     # JSON is flow-style YAML, which is what load_config parses
-    (tmp_path / "config.yaml").write_text(json.dumps(TINY) + "\n", encoding="utf-8")
+    (tmp_path / "config.yaml").write_text(json.dumps(config) + "\n", encoding="utf-8")
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1",

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -289,10 +290,12 @@ class TestCmdRun:
             assert a == b, name
 
     def test_config_error_exit_code(self, tmp_path):
+        # each case replaces the "clients: 2" line of TINY
         cases = [("clients: 1", []), ("clients: 2", ["--workers", "0"]),
-                 ("clients: 2", ["--workers", "-1"])]
-        for i, (clients, extra) in enumerate(cases):
-            p = write_cfg(tmp_path, TINY.replace("clients: 2", clients), name=f"exp{i}.yaml")
+                 ("clients: 2", ["--workers", "-1"]), ("clients: 2\nbeta: 1.0", []),
+                 ("clients: 2\nzeta: 1.0", [])]
+        for i, (lines, extra) in enumerate(cases):
+            p = write_cfg(tmp_path, TINY.replace("clients: 2", lines), name=f"exp{i}.yaml")
             out = tmp_path / f"out{i}"
             assert main(["run", "--config", p, "--out", str(out), *extra]) == EXIT_CONFIG, extra
             assert not out.exists()
@@ -354,6 +357,37 @@ class TestCmdRun:
         assert not out.exists()
 
 
+# edits of TINY that every command rejects before round 1, with the error
+REJECTED_BEFORE_TRAINING = {
+    "no_hidden_units": (("hidden_dims: [8]", "hidden_dims: [0]"),
+                        "layer dimensions must be positive"),
+    "starved_layer": (("hidden_dims: [8]", "hidden_dims: [1]"),
+                      # figure1 trains on the 4 informative columns first
+                      r"leaves layer 0 \((12x1\) with 6|4x1\) with 2) connections"),
+    "no_test_rows": (("n_samples: 120", "n_samples: 3"), "held-out test split is empty"),
+    # T = ceil(0.8 * 12 - 4) = 6 removed, so 6 x 8 = 48 positions for a dense 96
+    "layer0_budget": (("sparsity: 0.5", "sparsity: 0.0"),
+                      "layer 0 must keep 96 connections.* 6 of 12 inputs"),
+    "no_test_rows_small_fraction": (("n_samples: 120", "n_samples: 4\ntest_fraction: 0.1"),
+                                    "held-out test split is empty"),
+    "one_class": (("n_classes: 2", "n_classes: 1"), "need at least two classes, the data has 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_BEFORE_TRAINING))
+def test_every_command_rejects_before_training(tmp_path, capsys, case):
+    (old, new), error = REJECTED_BEFORE_TRAINING[case]
+    p = write_cfg(tmp_path, TINY.replace(old, new))
+    out = tmp_path / "out"
+    for argv in (["run", "--config", p, "--out", str(out)], ["inspect", "--config", p],
+                 ["figure1", "--config", p, "--out", str(out)]):
+        assert main(argv) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert re.match(f"config error: .*{error}", captured.err), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestCmdFigure1:
     def test_three_curves_and_recovery(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -385,6 +419,17 @@ class TestCmdInspect:
         assert main(["inspect", "--config", write_cfg(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "N=120 D=12 C=2" in out
+
+    def test_prints_the_run_plan(self, capsys):
+        # the desk study: D=500, K=30, zeta 0.2, beta 0.65, 60 rounds
+        assert main(["inspect", "--config", str(REPO / "configs" / "synthetic_noisy.yaml")]) \
+            == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == [
+            "layers: 500-100-50-2 | connection targets: 8736 2184 100",
+            "removal: T=370 r_remove=39 K=30, 130 inputs left",
+            "layer 0 after removal: 130 rows x 100 = 13000 positions for 8736 connections",
+        ]
 
     def test_csv_with_partition(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"

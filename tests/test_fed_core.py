@@ -14,10 +14,11 @@ from dsffs.fed_core import (
     _shared_mask_drift,
     aggregate,
     local_train,
+    plan_run,
     resparsify_and_reconcile,
     run_training,
 )
-from dsffs.input_selector import InputSchedule, compute_schedule, row_strengths
+from dsffs.input_selector import ScheduleCounts, removal_plan, row_strengths
 from dsffs.sparse_net import ConfigError, init_er_topology
 
 from conftest import build_net
@@ -124,10 +125,16 @@ class TestSharedMaskDrift:
         assert self.boolean_index_drift(client, broadcast) == 0.0
 
 
-def make_server(dims, sparsity, seed, rounds=10, k=2, zeta=0.2, beta=0.5):
+def make_server(dims, sparsity, seed, plan=None):
+    """A server before round 1; unless `plan` says otherwise, no input is removed."""
     net = init_er_topology(dims, sparsity, seed)
-    sched = InputSchedule(dims[0], k, zeta, beta, rounds)
-    return ServerState(net, sched, np.zeros(dims[0], dtype=bool))
+    if plan is None:
+        plan = removal_plan(dims[0], dims[0], 0.2, 0.5, 10)  # K = D: T = 0
+    return ServerState(net, plan, np.zeros(dims[0], dtype=bool))
+
+
+# D=6, K=2, zeta=0.4: T = ceil(0.6 * 6 - 2) = 2, all removed in round 1 of 2
+REMOVE_TWO_IN_ROUND_ONE = removal_plan(6, 2, 0.4, 0.5, 2)
 
 
 class TestResparsify:
@@ -168,7 +175,6 @@ class TestResparsify:
                         layer.weights[i2, j2] = rng.normal()
                 clients.append((int(rng.integers(1, 50)), c))
             agg = aggregate(clients)
-            server.schedule.record(0)
             out = resparsify_and_reconcile(server, agg, self.config(), r=r)
             assert out.layer_nnz() == targets
             out.validate()
@@ -178,7 +184,8 @@ class TestResparsify:
         # two clients disconnect disjoint neuron pairs; with a removal
         # budget of 2 the server must drop exactly the two weakest rows of
         # the aggregate, verified against a brute-force strength ranking
-        server = make_server([6, 4, 3], 0.5, seed=5, k=2)
+        server = make_server([6, 4, 3], 0.5, seed=5, plan=REMOVE_TWO_IN_ROUND_ONE)
+        assert server.schedule.history == [2, 0]
         base = server.global_model
         removals = [(0, 1), (2, 3)]
         clients = []
@@ -192,18 +199,16 @@ class TestResparsify:
         expected = sorted(
             range(6), key=lambda i: (row_strengths(agg[0][0])[i], i)
         )[:2]
-        server.schedule.record(2)
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
         assert sorted(np.nonzero(server.global_removed)[0]) == sorted(expected)
         assert not out.layers[0].mask[server.global_removed].any()
 
     def test_previous_removals_stay_removed(self):
-        server = make_server([6, 4, 3], 0.5, seed=6, k=2)
+        server = make_server([6, 4, 3], 0.5, seed=6, plan=REMOVE_TWO_IN_ROUND_ONE)
         server.global_removed[4] = True
         server.global_model.layers[0].mask[4, :] = False
         server.global_model.layers[0].weights[4, :] = 0.0
         agg = aggregate([(1, server.global_model.copy())])
-        server.schedule.record(2)
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
         assert server.global_removed[4]
         assert int(server.global_removed.sum()) == 2
@@ -225,7 +230,6 @@ class TestResparsify:
         layer.mask[oi, oj] = True
         layer.weights[oi, oj] = 50.0
         agg = aggregate([(1, client)])
-        server.schedule.record(0)
         out = resparsify_and_reconcile(server, [(w.copy(), b.copy()) for w, b in agg], cfg, r=1)
         assert out.layers[1].mask[oi, oj]
         cfg_noadj = self.config(adjust_every=10, adjust_rate=0.4)
@@ -259,19 +263,18 @@ class TestLocalTrain:
         ds = parts.data
         dims = [ds.d] + config.hidden_dims + [ds.n_classes]
         net = init_er_topology(dims, config.sparsity, config.seed)
-        sched = InputSchedule(ds.d, config.k_features, config.zeta,
-                              config.beta, config.rounds)
-        return net, sched
+        plan = removal_plan(ds.d, config.k_features, config.zeta, config.beta, config.rounds)
+        return net, plan
 
-    def train(self, parts, net, sched, r, config):
+    def train(self, parts, net, plan, r, config):
         return local_train(parts.data.X, parts.data.y, parts.shards[0], net,
-                           compute_schedule(sched), r, config, np.zeros(6, dtype=bool))
+                           plan.counts[r - 1], r, config, np.zeros(6, dtype=bool))
 
     def test_zero_epochs_returns_model_unchanged(self):
         parts = tiny_partition()
         config = self.cfg(local_epochs=0)
-        net, sched = self.setup_one(config, parts)
-        out = self.train(parts, net, sched, 1, config)
+        net, plan = self.setup_one(config, parts)
+        out = self.train(parts, net, plan, 1, config)
         for lo, ln in zip(out.layers, net.layers):
             assert np.array_equal(lo.weights, ln.weights)
             assert np.array_equal(lo.mask, ln.mask)
@@ -279,19 +282,18 @@ class TestLocalTrain:
     def test_returned_nnz_matches_received(self):
         parts = tiny_partition()
         config = self.cfg()
-        net, sched = self.setup_one(config, parts)
+        net, plan = self.setup_one(config, parts)
         for r in range(1, 4):
-            out = self.train(parts, net, sched, r, config)
+            out = self.train(parts, net, plan, r, config)
             assert out.nnz() == net.nnz()
             assert out.layer_nnz() == net.nnz_targets
-            sched.record(0)
 
     def test_broadcast_model_not_mutated(self):
         parts = tiny_partition()
         config = self.cfg()
-        net, sched = self.setup_one(config, parts)
+        net, plan = self.setup_one(config, parts)
         snapshot = [(l.weights.copy(), l.mask.copy(), l.bias.copy()) for l in net.layers]
-        self.train(parts, net, sched, 1, config)
+        self.train(parts, net, plan, 1, config)
         for layer, (w, m, b) in zip(net.layers, snapshot):
             assert np.array_equal(layer.weights, w)
             assert np.array_equal(layer.mask, m)
@@ -303,8 +305,8 @@ class TestLocalTrain:
         # leave the anchor's neighborhood
         parts = tiny_partition()
         config = self.cfg(mu=1e6, lr=1e-6, zeta=0.0, feature_selection=False)
-        net, sched = self.setup_one(config, parts)
-        out = self.train(parts, net, sched, 1, config)
+        net, plan = self.setup_one(config, parts)
+        out = self.train(parts, net, plan, 1, config)
         for lo, ln in zip(out.layers, net.layers):
             shared = lo.mask & ln.mask
             assert np.max(np.abs((lo.weights - ln.weights)[shared])) < 1e-3
@@ -312,8 +314,8 @@ class TestLocalTrain:
     def test_full_batch_fallback(self):
         parts = tiny_partition(n_per_shard=3)
         config = self.cfg(batch_size=64)
-        net, sched = self.setup_one(config, parts)
-        out = self.train(parts, net, sched, 1, config)
+        net, plan = self.setup_one(config, parts)
+        out = self.train(parts, net, plan, 1, config)
         assert out.nnz() == net.nnz()
 
 
@@ -356,10 +358,10 @@ class TestRunTraining:
         ds = parts.data
         dims = [ds.d] + cfg.hidden_dims + [ds.n_classes]
         net = init_er_topology(dims, cfg.sparsity, cfg.seed)
-        sched = InputSchedule(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds)
+        counts = removal_plan(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds).counts[0]
         outs = []
         for m in range(2):
-            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, compute_schedule(sched),
+            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, counts,
                                     1, cfg, np.zeros(6, dtype=bool)))
         agg = aggregate([(12, outs[0]), (12, outs[1])])
         for lo, (w, _) in zip(outs[0].layers, agg):
@@ -384,6 +386,18 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match=r"192 connections.* 15 of 50 inputs.* 120 positions"):
             run_training(self.cfg(rounds=3, k_features=5), parts)
         assert trained == []
+
+    def test_plan_without_selection_removes_nothing(self):
+        parts = tiny_partition()
+        *_, off = plan_run(self.cfg(rounds=4, feature_selection=False), parts)
+        assert off.T == 0
+        assert off.counts == (ScheduleCounts(0, 0),) * 4
+        *_, on = plan_run(self.cfg(rounds=4), parts)
+        assert on.T == sum(on.history) == 2   # ceil(0.8 * 6 - 3)
+
+    def test_one_class_rejected(self):
+        with pytest.raises(ConfigError, match="need at least two classes, the data has 1"):
+            run_training(self.cfg(), tiny_partition(c=1))
 
     def test_client_subsampling(self):
         parts = tiny_partition(m=4)
@@ -410,7 +424,7 @@ class TestRunTraining:
         assert all(m.global_nnz == init_nnz for m in metrics)
         # removal schedule realized: connected count lands at D - T
         assert metrics[-1].connected_input_neurons == 6 - server.schedule.T
-        assert int(server.global_removed.sum()) == server.schedule.T_r
+        assert int(server.global_removed.sum()) == sum(server.schedule.history)
 
 
 class TestRoundProperties:

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsffs.input_selector import (
-    InputSchedule,
     ScheduleCounts,
-    compute_schedule,
     prune_input,
     regrow_input,
+    removal_plan,
     row_strengths,
     select_features,
 )
@@ -49,65 +48,59 @@ class TestNeuronStrength:
 
 
 class TestSchedule:
-    def config(self):
-        return InputSchedule(784, 150, 0.2, 0.65, 400)
+    def plan(self):
+        return removal_plan(784, 150, 0.2, 0.65, 400)
 
     def test_budget_arithmetic(self):
-        s = self.config()
+        s = self.plan()
         assert s.r_remove == 260
         assert s.T == 478
 
     def test_round_one(self):
-        s = self.config()
-        c = compute_schedule(s)
+        c = self.plan().counts[0]
         assert (c.n_p, c.n_remove, c.n_g) == (2, 2, 0)
 
     def test_round_two(self):
-        s = self.config()
-        s.record(2)
-        c = compute_schedule(s)
+        s = self.plan()
+        assert s.history[0] == 2
+        c = s.counts[1]
         assert (c.n_p, c.n_remove, c.n_g) == (3, 2, 1)
 
     def test_degenerate_when_k_covers_everything(self):
-        s = InputSchedule(100, 90, 0.2, 0.65, 50)  # K >= (1-zeta)*D
+        s = removal_plan(100, 90, 0.2, 0.65, 50)  # K >= (1-zeta)*D
         assert s.T == 0
-        for r in range(1, 51):
-            c = compute_schedule(s)
-            assert c.n_remove == 0
-            s.record(c.n_remove)
+        assert len(s.counts) == 50
+        assert all(c.n_remove == 0 for c in s.counts)
 
     def test_removals_sum_to_budget(self):
-        s = self.config()
-        realized = []
-        for r in range(1, 401):
-            c = compute_schedule(s)
-            realized.append(c.n_remove)
-            s.record(c.n_remove)
-            assert s.T_r <= s.T
+        s = self.plan()
+        realized = s.history
+        assert all(t_r <= s.T for t_r in np.cumsum(realized))
         assert sum(realized) == 478
         assert all(n == 0 for n in realized[260:])
-        assert s.D - s.T == 306
+        assert 784 - s.T == 306
 
     def test_round_out_of_range(self):
-        s = self.config()
-        for _ in range(400):
-            s.record(compute_schedule(s).n_remove)
-        with pytest.raises(ValueError, match="400 rounds"):
-            compute_schedule(s)
+        s = self.plan()
+        assert len(s.counts) == len(s.history) == 400
+        with pytest.raises(IndexError):
+            s.counts[400]
 
     def test_regrowth_capped_by_removed_pool(self):
-        s = InputSchedule(100, 10, 0.9, 0.5, 10)
-        s.history = [1]
-        c = compute_schedule(s)
-        assert c.n_g <= 1
+        s = removal_plan(100, 5, 0.9, 0.5, 10)
+        assert s.history[0] > 0
+        t_r = 0
+        for c in s.counts:
+            assert c.n_g <= t_r   # at most the neurons removed in earlier rounds
+            t_r += c.n_remove
 
     def test_connected_never_below_k(self):
         # adversarial small config: caps must keep D - T_r - n_p >= K
-        s = InputSchedule(20, 8, 0.2, 0.5, 10)
-        for r in range(1, 11):
-            c = compute_schedule(s)
-            assert s.D - s.T_r - c.n_p >= s.K
-            s.record(c.n_remove)
+        s = removal_plan(20, 8, 0.2, 0.5, 10)
+        t_r = 0
+        for c in s.counts:
+            assert 20 - t_r - c.n_p >= 8
+            t_r += c.n_remove
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -116,23 +109,17 @@ class TestSchedule:
         K = data.draw(st.integers(1, D))
         zeta = data.draw(st.floats(0.0, 1.0, exclude_max=True))
         beta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        s = InputSchedule(D, K, zeta, beta, data.draw(st.integers(1, 80)))
-        for r in range(1, s.r_max + 1):
-            c = compute_schedule(s)
+        rounds = data.draw(st.integers(1, 80))
+        s = removal_plan(D, K, zeta, beta, rounds)
+        assert len(s.counts) == rounds
+        t_r = 0
+        for r, c in enumerate(s.counts, start=1):
             assert c.n_p >= c.n_remove >= 0 and c.n_g >= 0
             if r > s.r_remove:
                 assert c.n_remove == 0
-            s.record(c.n_remove)
-            assert s.D - s.T_r >= s.K
-        assert s.T_r == s.T
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            InputSchedule(10, 20, 0.2, 0.65, 10)   # K > D
-        with pytest.raises(ValueError):
-            InputSchedule(10, 5, 0.2, 1.0, 10)     # beta out of range
-        with pytest.raises(ValueError):
-            InputSchedule(10, 5, 1.0, 0.5, 10)     # zeta out of range
+            t_r += c.n_remove
+            assert D - t_r >= K
+        assert t_r == s.T == sum(s.history)
 
 
 def brute_force_prune(weights, mask, removed, n_p, zeta):

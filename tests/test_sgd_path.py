@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import reference_sgd as ref
 from dsffs.dst_update import gradient_regrow_hidden, magnitude_prune_hidden
 from dsffs.fed_core import FedConfig, local_train
-from dsffs.input_selector import InputSchedule, compute_schedule, prune_input, regrow_input
+from dsffs.input_selector import prune_input, regrow_input, removal_plan
 from dsffs.sparse_net import (
     SparseLayer,
     SparseNetwork,
@@ -188,7 +188,7 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
                        local_epochs=local_epochs, batch_size=6, lr=0.1, zeta=0.3, beta=0.5,
                        mu=mu, seed=3)
     broadcast = random_net(rng, [d, 8, 6, 3], 0.4)
-    counts = compute_schedule(InputSchedule(d, 4, config.zeta, config.beta, config.rounds))
+    counts = removal_plan(d, 4, config.zeta, config.beta, config.rounds).counts[0]
     assert counts.n_remove > 0
     removed = np.zeros(d, dtype=bool)
 
