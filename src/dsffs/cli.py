@@ -245,19 +245,23 @@ def cmd_figure1(args) -> int:
     original = Dataset(np.take(ds.X, informative, axis=1), ds.y.copy(),
                        name=ds.name + "_original", meta=dict(ds.meta))
 
-    def run_one(parts, fs: bool):
-        sub = replace(cfg, feature_selection=fs,
-                      k_features=min(cfg.k_features, parts.data.d))
-        return run_training(sub, parts)
-
-    log.info("figure1: training on informative features only (no selection)")
-    _, m_orig, _ = run_one(prepare(cfg, original), fs=False)
+    informative_only = prepare(cfg, original)
     # run_training only reads its data: both noisy runs share one partition
     noisy = prepare(cfg, ds)
-    log.info("figure1: training on noisy features (no selection)")
-    _, m_noisy, _ = run_one(noisy, fs=False)
-    log.info("figure1: training on noisy features with selection")
-    _, m_fs, selection = run_one(noisy, fs=True)
+    runs = [(replace(cfg, feature_selection=fs, k_features=min(cfg.k_features, parts.data.d)),
+             parts, what)
+            for parts, fs, what in [
+                (informative_only, False, "informative features only (no selection)"),
+                (noisy, False, "noisy features (no selection)"),
+                (noisy, True, "noisy features with selection")]]
+    # every run is planned before any trains, so a config error exits first
+    for sub, parts, _ in runs:
+        plan_run(sub, parts)
+    results = []
+    for sub, parts, what in runs:
+        log.info("figure1: training on %s", what)
+        results.append(run_training(sub, parts))
+    (_, m_orig, _), (_, m_noisy, _), (_, m_fs, selection) = results
 
     write_resolved_config(cfg)
     curves_path = os.path.join(cfg.out_dir, "figure1_curves.csv")

@@ -169,7 +169,9 @@ def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,
             f"{need}; connection count will recover on a later update",
             RuntimeWarning,
         )
-    grow(net, l, cand[smallest(-np.abs(np.take(dense_grad, cand)), need)], delta)
+    scores = np.take(dense_grad, cand)
+    np.negative(np.abs(scores, out=scores), out=scores)
+    grow(net, l, cand[smallest(scores, need)], delta)
 
 
 def churn_count(net: SparseNetwork, l: int, fraction: float,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -175,29 +176,20 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     return net
 
 
-def aggregate(clients) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sample-count-weighted average of client weights and biases.
+def aggregate(sums: list[tuple[np.ndarray, np.ndarray]], coeff: float,
+              net: SparseNetwork) -> None:
+    """Fold one client into the round's sample-count-weighted average.
 
-    Returns one (weights, bias) pair per layer. A position a client
-    masked off holds weight 0 there, so it counts as zero in the average.
-    No mask is formed: resparsify_and_reconcile decides the next global
-    mask from these weights and the previous global mask.
+    `sums` holds one (weights, bias) pair per layer, zeroed before the
+    round's first client, and `coeff` is this client's n_m / total. A
+    position the client masked off holds weight 0 there, so it counts as
+    zero in the average. Folding the clients in id order fixes the order
+    of every float sum. No mask is formed: resparsify_and_reconcile decides
+    the next global mask from the sums and the previous global mask.
     """
-    clients = list(clients)
-    if not clients:
-        raise ValueError("nothing to aggregate")
-    total = float(sum(n for n, _ in clients))
-    # normalized coefficients keep the one-client case exactly the identity
-    coeffs = [n_m / total for n_m, _ in clients]
-    sums = []
-    for l, ref in enumerate(clients[0][1].layers):
-        w = np.zeros_like(ref.weights)
-        b = np.zeros_like(ref.bias)
-        for c_m, (_, net) in zip(coeffs, clients):
-            w += c_m * net.layers[l].weights
-            b += c_m * net.layers[l].bias
-        sums.append((w, b))
-    return sums
+    for (w, b), layer in zip(sums, net.layers):
+        w += coeff * layer.weights
+        b += coeff * layer.bias
 
 
 def _keep_topk(weights: np.ndarray, kept: np.ndarray, target: int, allowed_rows: np.ndarray,
@@ -226,7 +218,9 @@ def _keep_topk(weights: np.ndarray, kept: np.ndarray, target: int, allowed_rows:
             f"{len(cand)} candidate positions for {deficit} needed"
         )
     refill = max(deficit, 0)
-    ranked = cand[smallest(-np.take(w_abs, cand), refill + budget, ordered=True)]
+    scores = np.take(w_abs, cand)
+    np.negative(scores, out=scores)
+    ranked = cand[smallest(scores, refill + budget, ordered=True)]
     np.put(kept, ranked[:refill], True)
 
     if budget:
@@ -340,15 +334,17 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     `plan_run` checks the config and fixes the run's shape and neuron
     schedule; then each round the selected clients train in a thread pool
     of config.workers threads (default one per client) on that round's
-    planned counts, and the server aggregates and resparsifies. Every
-    client draws its randomness from (seed, round, epoch) and aggregation
-    walks clients in id order, so results do not depend on the thread
+    planned counts, and the server resparsifies what they aggregated.
+    Every client draws its randomness from (seed, round, epoch), and each
+    pool task folds its client into the aggregate only after the client
+    before it in id order has, so results do not depend on the thread
     count or on scheduling.
 
     What stays resident is the one normalized matrix in `data`, which
     every client indexes through its shard and the evaluator through the
-    test index, plus the global model and one round of client networks:
-    those are released once they are aggregated.
+    test index, plus the global model and the round's (weights, bias)
+    sums. A client network lives from its training until its fold, so at
+    most config.workers of them are alive at once.
     """
     dims, k, _, removal = plan_run(config, data)
     ds = data.data
@@ -369,23 +365,37 @@ def run_training(config: FedConfig, data: PartitionedDataset):
 
             broadcast = server.global_model
             removed = server.global_removed
+            sizes = [len(data.shards[m]) for m in selected]
+            total = float(sum(sizes))
+            # normalized coefficients keep the one-client case exactly the identity
+            coeffs = [n_m / total for n_m in sizes]
+            sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+                    for layer in broadcast.layers]
+            folded = [threading.Event() for _ in selected]
 
             # a diverging run overflows on its way to the non-finite weights
             # that the check below reports, with the round; np.errstate is
-            # per thread, so each pool thread sets its own
-            def train_one(m: int) -> SparseNetwork:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return local_train(ds.X, ds.y, data.shards[m], broadcast, counts, r,
-                                       config, removed)
+            # per thread, so each pool thread sets its own. Tasks start in
+            # id order, so the client before this one is running or done
+            # and the wait ends; a client that raises still releases the
+            # next, and pool.map raises its error.
+            def train_one(i: int) -> float:
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        net = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
+                                          counts, r, config, removed)
+                        drift = _shared_mask_drift(net, broadcast)
+                        if i:
+                            folded[i - 1].wait()
+                        aggregate(sums, coeffs[i], net)
+                    return drift
+                finally:
+                    folded[i].set()
 
-            nets = list(pool.map(train_one, selected))
-
-            sizes = [len(data.shards[m]) for m in selected]
+            drifts = list(pool.map(train_one, range(len(selected))))
             with np.errstate(over="ignore", invalid="ignore"):
-                drift = float(np.mean([_shared_mask_drift(net, broadcast) for net in nets]))
-                aggregated = aggregate(zip(sizes, nets))
-            del nets
-            server.global_model = resparsify_and_reconcile(server, aggregated, config, r)
+                drift = float(np.mean(drifts))
+            server.global_model = resparsify_and_reconcile(server, sums, config, r)
             if not all(np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()
                        for layer in server.global_model.layers):
                 raise FloatingPointError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsffs.fed_core import aggregate
 from dsffs.sparse_net import SparseLayer, SparseNetwork, forward
 from reference_sgd import softmax_cross_entropy
 
@@ -19,6 +20,17 @@ def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwo
     sparsity = 1.0 - sum(nnz) / total
     densities = [layer.nnz() / (layer.rows * layer.cols) for layer in layers]
     return SparseNetwork(layers, sparsity, densities, targets if targets is not None else nnz)
+
+
+def fold(clients) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fold (n_m, net) pairs into zeroed sums in list order, as a round does."""
+    clients = list(clients)
+    total = float(sum(n for n, _ in clients))
+    sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            for layer in clients[0][1].layers]
+    for n_m, net in clients:
+        aggregate(sums, n_m / total, net)
+    return sums
 
 
 def loss_of(net, X, y) -> float:

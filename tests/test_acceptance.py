@@ -17,12 +17,12 @@ import pytest
 
 from dsffs.cli import ExperimentConfig, main, prepare
 from dsffs.data import Dataset, generate_synthetic, partition_noniid
-from dsffs.fed_core import FedConfig, aggregate, run_training
+from dsffs.fed_core import FedConfig, run_training
 from dsffs.input_selector import removal_plan
 from dsffs.metrics import inference_flops, upload_cost_bits
 from dsffs.sparse_net import backward, forward, init_er_topology
 
-from conftest import build_net, fd_weight_gradients, max_rel_err
+from conftest import build_net, fd_weight_gradients, fold, max_rel_err
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -96,7 +96,7 @@ def test_criterion_3_aggregation_oracle():
                 masks.append(m)
             nets.append(build_net(mats, masks=masks))
             weights.append(int(rng.integers(1, 100)))
-        out = aggregate(list(zip(weights, nets)))
+        out = fold(zip(weights, nets))
         total = sum(weights)
         for l in range(2):
             shape = nets[0].layers[l].weights.shape

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsffs import fed_core
 from dsffs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -375,10 +376,12 @@ REJECTED_BEFORE_TRAINING = {
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_BEFORE_TRAINING))
-def test_every_command_rejects_before_training(tmp_path, capsys, case):
+def test_every_command_rejects_before_training(tmp_path, capsys, monkeypatch, case):
     (old, new), error = REJECTED_BEFORE_TRAINING[case]
     p = write_cfg(tmp_path, TINY.replace(old, new))
     out = tmp_path / "out"
+    trained = []
+    monkeypatch.setattr(fed_core, "local_train", lambda *args: trained.append(args))
     for argv in (["run", "--config", p, "--out", str(out)], ["inspect", "--config", p],
                  ["figure1", "--config", p, "--out", str(out)]):
         assert main(argv) == EXIT_CONFIG, argv
@@ -386,6 +389,8 @@ def test_every_command_rejects_before_training(tmp_path, capsys, case):
         assert re.match(f"config error: .*{error}", captured.err), captured.err
         assert captured.out == ""
         assert not out.exists()
+        # figure1 plans all three of its runs before it trains any
+        assert trained == [], argv
 
 
 class TestCmdFigure1:

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -12,7 +14,6 @@ from dsffs.fed_core import (
     FedConfig,
     ServerState,
     _shared_mask_drift,
-    aggregate,
     local_train,
     plan_run,
     resparsify_and_reconcile,
@@ -21,7 +22,7 @@ from dsffs.fed_core import (
 from dsffs.input_selector import ScheduleCounts, removal_plan, row_strengths
 from dsffs.sparse_net import ConfigError, init_er_topology
 
-from conftest import build_net
+from conftest import build_net, fold
 
 
 def brute_force_average(client_nets, weights):
@@ -45,7 +46,7 @@ def brute_force_average(client_nets, weights):
 class TestAggregate:
     def test_single_client_identity(self):
         net = init_er_topology([6, 4, 3], 0.5, seed=1)
-        out = aggregate([(17, net)])
+        out = fold([(17, net)])
         for (w, b), layer in zip(out, net.layers):
             assert np.array_equal(w, layer.weights)
             assert np.array_equal(b, layer.bias)
@@ -53,13 +54,13 @@ class TestAggregate:
     def test_weighted_mean_at_shared_position(self):
         a = build_net([[[2.0]]])
         b = build_net([[[4.0]]])
-        out = aggregate([(1, a), (3, b)])
+        out = fold([(1, a), (3, b)])
         assert out[0][0][0, 0] == pytest.approx(3.5, abs=1e-15)
 
     def test_zero_fill_for_missing_position(self):
         a = build_net([[[4.0]]])
         b = build_net([[[0.0]]], masks=[[[0]]])
-        out = aggregate([(1, a), (1, b)])
+        out = fold([(1, a), (1, b)])
         assert out[0][0][0, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_brute_force_oracle(self):
@@ -73,7 +74,7 @@ class TestAggregate:
                 w = rng.normal(size=(dims[0], dims[1])) * mask
                 nets.append(build_net([w], masks=[mask]))
                 weights.append(int(rng.integers(1, 100)))
-            out = aggregate(list(zip(weights, nets)))
+            out = fold(list(zip(weights, nets)))
             oracle = brute_force_average(nets, weights)
             assert np.max(np.abs(out[0][0] - oracle[0])) <= 1e-12
 
@@ -83,13 +84,16 @@ class TestAggregate:
         for _ in range(3):
             mask = rng.random((5, 4)) < 0.5
             nets.append(build_net([rng.normal(size=(5, 4)) * mask], masks=[mask]))
-        a = aggregate([(1, nets[0]), (2, nets[1]), (3, nets[2])])
-        b = aggregate([(3, nets[2]), (1, nets[0]), (2, nets[1])])
+        a = fold([(1, nets[0]), (2, nets[1]), (3, nets[2])])
+        b = fold([(3, nets[2]), (1, nets[0]), (2, nets[1])])
         assert np.allclose(a[0][0], b[0][0], atol=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
+        # every round folds at least one client: a round of none is
+        # rejected before round 1
+        cfg = FedConfig(hidden_dims=[4], clients=2, clients_per_round=0, rounds=1)
+        with pytest.raises(ValueError, match="clients_per_round"):
+            run_training(cfg, tiny_partition())
 
 
 class TestSharedMaskDrift:
@@ -148,7 +152,7 @@ class TestResparsify:
         server = make_server([6, 4, 3], 0.5, seed=3)
         client = server.global_model.copy()
         client.layers[1].weights[client.layers[1].mask] += 0.25
-        agg = aggregate([(1, client), (1, client.copy())])
+        agg = fold([(1, client), (1, client.copy())])
         handed = [w.copy() for w, _ in agg]  # resparsify takes over the aggregated arrays
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
         for lo, lc, w in zip(out.layers, client.layers, handed):
@@ -174,7 +178,7 @@ class TestResparsify:
                         layer.mask[i2, j2] = True
                         layer.weights[i2, j2] = rng.normal()
                 clients.append((int(rng.integers(1, 50)), c))
-            agg = aggregate(clients)
+            agg = fold(clients)
             out = resparsify_and_reconcile(server, agg, self.config(), r=r)
             assert out.layer_nnz() == targets
             out.validate()
@@ -195,7 +199,7 @@ class TestResparsify:
                 c.layers[0].mask[i, :] = False
                 c.layers[0].weights[i, :] = 0.0
             clients.append((1, c))
-        agg = aggregate(clients)
+        agg = fold(clients)
         expected = sorted(
             range(6), key=lambda i: (row_strengths(agg[0][0])[i], i)
         )[:2]
@@ -208,7 +212,7 @@ class TestResparsify:
         server.global_removed[4] = True
         server.global_model.layers[0].mask[4, :] = False
         server.global_model.layers[0].weights[4, :] = 0.0
-        agg = aggregate([(1, server.global_model.copy())])
+        agg = fold([(1, server.global_model.copy())])
         out = resparsify_and_reconcile(server, agg, self.config(), r=1)
         assert server.global_removed[4]
         assert int(server.global_removed.sum()) == 2
@@ -229,7 +233,7 @@ class TestResparsify:
         layer.weights[li, lj] = 0.0
         layer.mask[oi, oj] = True
         layer.weights[oi, oj] = 50.0
-        agg = aggregate([(1, client)])
+        agg = fold([(1, client)])
         out = resparsify_and_reconcile(server, [(w.copy(), b.copy()) for w, b in agg], cfg, r=1)
         assert out.layers[1].mask[oi, oj]
         cfg_noadj = self.config(adjust_every=10, adjust_rate=0.4)
@@ -350,6 +354,39 @@ class TestRunTraining:
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
 
+    def test_clients_fold_in_id_order_whatever_finishes_first(self, monkeypatch):
+        # lower ids train longest, so clients finish in reverse; the fold
+        # still walks them in id order and the bits match one worker
+        parts = tiny_partition(m=4)
+        serial = run_training(self.cfg(clients=4, rounds=2, workers=1), parts)
+        real_train, real_fold = fed_core.local_train, fed_core.aggregate
+        owner, folds = {}, []
+
+        def slow_train(X, y, rows, *rest):
+            m = int(rows[0]) // 12               # shard m holds rows 12m..12m+11
+            time.sleep(0.05 * (3 - m))
+            net = real_train(X, y, rows, *rest)
+            owner[id(net)] = m
+            return net
+
+        def spy_fold(sums, coeff, net):
+            folds.append(owner[id(net)])
+            real_fold(sums, coeff, net)
+
+        monkeypatch.setattr(fed_core, "local_train", slow_train)
+        monkeypatch.setattr(fed_core, "aggregate", spy_fold)
+        # threads switch often: a fold that raced another would lose an
+        # update or reorder the sums
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_training(self.cfg(clients=4, rounds=2, workers=4), parts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert folds == [0, 1, 2, 3] * 2
+        assert [m.csv_row() for m in threaded[1]] == [m.csv_row() for m in serial[1]]
+        assert threaded[2].strengths == serial[2].strengths
+
     def test_identical_shards_agree_with_aggregate(self):
         # two clients holding byte-identical data train identically, so the
         # aggregated model must match each client's result at shared masks
@@ -363,7 +400,7 @@ class TestRunTraining:
         for m in range(2):
             outs.append(local_train(ds.X, ds.y, parts.shards[m], net, counts,
                                     1, cfg, np.zeros(6, dtype=bool)))
-        agg = aggregate([(12, outs[0]), (12, outs[1])])
+        agg = fold([(12, outs[0]), (12, outs[1])])
         for lo, (w, _) in zip(outs[0].layers, agg):
             assert np.max(np.abs((lo.weights - w)[lo.mask])) <= 1e-12
 

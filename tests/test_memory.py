@@ -3,10 +3,12 @@
 tracemalloc counts numpy's array allocations on any platform, so the data
 path's peak is measured in bytes against the matrix it builds. During
 training, clients and the evaluator must gather from the one normalized
-matrix, and a round's client networks must be gone before the next round
-trains.
+matrix, each client network must be folded and dropped before its pool
+thread trains another, and a round's client networks must be gone before
+the next round trains.
 """
 
+import threading
 import tracemalloc
 import weakref
 
@@ -128,3 +130,53 @@ def test_round_client_networks_released_before_next_round(monkeypatch, workers):
     assert len(returned) == 3 * 3
     assert alive_at_start == []
     assert np.all([ref() is None for _, ref in returned])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_at_most_one_client_network_per_worker(monkeypatch, workers):
+    # five clients on fewer threads: a thread folds its client and drops
+    # the network before it trains the next, so when local_train starts the
+    # other threads hold at most one network each and this thread none
+    parts = tiny_partition(m=5)
+    returned = []          # weakrefs to every client network trained so far
+    alive_at_start = []
+    real = fed_core.local_train
+
+    def spy(*args):
+        alive_at_start.append(sum(ref() is not None for ref in list(returned)))
+        net = real(*args)
+        returned.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(fed_core, "local_train", spy)
+    run_training(cfg(clients=5, workers=workers, hidden_dims=[8]), parts)
+    assert len(alive_at_start) == 5 * 3
+    assert max(alive_at_start) <= workers - 1, alive_at_start
+
+
+def test_failing_client_fails_the_run(monkeypatch):
+    # client 1 of 4 raises in round 2 at three workers: client 2 waits on
+    # its fold, and the run must raise its error rather than hang
+    parts = tiny_partition(m=4)
+    real = fed_core.local_train
+
+    def spy(X, y, rows, global_net, counts, r, *rest):
+        if r == 2 and rows is parts.shards[1]:
+            raise RuntimeError("client 1 failed in round 2")
+        return real(X, y, rows, global_net, counts, r, *rest)
+
+    monkeypatch.setattr(fed_core, "local_train", spy)
+    raised = []
+
+    def run():
+        try:
+            run_training(cfg(clients=4, workers=3), parts)
+        except Exception as exc:  # noqa: BLE001 - handed to the test thread
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "the round hung after a client failed"
+    assert [(type(exc), str(exc)) for exc in raised] == [
+        (RuntimeError, "client 1 failed in round 2")]
