@@ -51,23 +51,23 @@ def smallest(scores: np.ndarray, k: int, ordered: bool = False) -> np.ndarray:
     return pick[np.argsort(scores[pick], kind="stable")] if ordered else pick
 
 
-def smallest_sparing_last(scores: np.ndarray, mask: np.ndarray, k: int,
-                          axis: int) -> np.ndarray:
-    """Flat indices of the min(k, nnz) smallest live entries of 2-D `scores`.
+def smallest_sparing_last(live: np.ndarray, flat: np.ndarray, shape: tuple[int, int],
+                          k: int, axis: int) -> np.ndarray:
+    """Flat indices of the min(k, n) smallest live entries of a 2-D layer.
 
-    Live entries are those of `mask`, ordered by (score, row, col), NaN
-    above every number. The last live entry of each group (each row for
+    `flat` is the layer's live index, np.flatnonzero(mask) for a layer of
+    `shape`, and `live` the scores aligned with it, so a caller scores the
+    live entries only. They are ordered by (score, row, col), NaN above
+    every number. The last live entry of each group (each row for
     axis=1, each column for axis=0) goes only once every other live entry
     has: first the k smallest non-last entries, then, if those are fewer
     than k, the last entries in order. A group's last entry is its largest
     score, ties going to the largest column of a row or the largest row of
     a column.
     """
-    flat = np.flatnonzero(mask)
-    live = np.take(scores, flat)
-    n_cols = mask.shape[1]
+    n_cols = shape[1]
     group = flat // n_cols if axis == 1 else flat % n_cols
-    n_groups = mask.shape[1 - axis]
+    n_groups = shape[1 - axis]
     top = np.full(n_groups, -np.inf)
     # np.maximum propagates NaN, so a group holding one tops out at NaN
     with np.errstate(invalid="ignore"):
@@ -140,7 +140,11 @@ def prune_layer_by_magnitude(net: SparseNetwork, l: int, count: int,
     if count <= 0:
         return
     layer = net.layers[l]
-    cut(net, l, smallest_sparing_last(np.abs(layer.weights), layer.mask, count, axis), delta)
+    flat = np.flatnonzero(layer.mask)
+    # abs of the gathered live weights, not of the whole layer
+    live = np.take(layer.weights, flat)
+    np.abs(live, out=live)
+    cut(net, l, smallest_sparing_last(live, flat, layer.mask.shape, count, axis), delta)
 
 
 def regrow_layer_by_gradient(net: SparseNetwork, l: int, dense_grad: np.ndarray,

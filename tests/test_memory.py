@@ -5,7 +5,9 @@ path's peak is measured in bytes against the matrix it builds. During
 training, clients and the evaluator must gather from the one normalized
 matrix, each client network must be folded and dropped before its pool
 thread trains another, and a round's client networks must be gone before
-the next round trains.
+the next round trains. The server step must run on the pool, where the
+clients allocate, and a client's last topology update must not hold its
+SGD state or forward cache.
 """
 
 import threading
@@ -180,3 +182,64 @@ def test_failing_client_fails_the_run(monkeypatch):
     assert not runner.is_alive(), "the round hung after a client failed"
     assert [(type(exc), str(exc)) for exc in raised] == [
         (RuntimeError, "client 1 failed in round 2")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_server_step_runs_on_the_pool(monkeypatch, workers):
+    # glibc gives each allocating thread its own arena; at one worker the
+    # whole round must allocate on one thread, and never on the caller's
+    parts = tiny_partition(m=3)
+    threads = {"client": [], "server": []}
+
+    def on_thread(role, real):
+        def spy(*args):
+            threads[role].append(threading.get_ident())
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(fed_core, "local_train", on_thread("client", fed_core.local_train))
+    monkeypatch.setattr(fed_core, "resparsify_and_reconcile",
+                        on_thread("server", fed_core.resparsify_and_reconcile))
+    monkeypatch.setattr(metrics.MetricsRecorder, "record_round",
+                        on_thread("server", metrics.MetricsRecorder.record_round))
+    run_training(cfg(workers=workers), parts)
+    assert len(threads["client"]) == 3 * 3 and len(threads["server"]) == 2 * 3
+    assert threading.get_ident() not in threads["server"]
+    if workers == 1:
+        assert set(threads["server"]) == set(threads["client"])
+
+
+def test_last_topology_update_holds_no_sgd_state_or_cache(monkeypatch):
+    # the last epoch's update runs after the last sgd_step and the last
+    # forward; neither's state is read again, so neither may be alive
+    parts = tiny_partition(m=3)
+    config = cfg(workers=1, local_epochs=3)
+    last = {}              # "state" / "cache" -> weakref to the latest one
+    alive = []             # (epoch, state alive, cache alive) at each regrow_input
+    real_step, real_forward, real_regrow = (
+        fed_core.sgd_step, fed_core.forward, fed_core.regrow_input)
+
+    def step(*args):
+        state = real_step(*args)
+        last["state"] = weakref.ref(state)
+        return state
+
+    def forward(*args):
+        out, cache = real_forward(*args)
+        last["cache"] = weakref.ref(cache)
+        return out, cache
+
+    def regrow(*args):
+        alive.append((len(alive) % config.local_epochs + 1,
+                      last["state"]() is not None, last["cache"]() is not None))
+        return real_regrow(*args)
+
+    monkeypatch.setattr(fed_core, "sgd_step", step)
+    monkeypatch.setattr(fed_core, "forward", forward)
+    monkeypatch.setattr(fed_core, "regrow_input", regrow)
+    run_training(config, parts)
+    assert len(alive) == 3 * 3 * config.local_epochs
+    # earlier epochs still move the momentum onto the new masks
+    assert all(state for q, state, _ in alive if q < config.local_epochs)
+    assert not any(state for q, state, _ in alive if q == config.local_epochs)
+    assert not any(cache for _, _, cache in alive)
