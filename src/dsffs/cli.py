@@ -5,6 +5,10 @@ unset key resolves to a documented default and the fully resolved config
 is written next to the outputs by the same YAML library that reads it, so
 it loads back and a run is reproducible from its output directory alone.
 
+Each command builds the text of every file it writes, then `write_outputs`
+writes them all or none: a run that fails before its files are moved into
+place leaves no new output directory, and an existing one as it was.
+
 Exit codes: 0 ok, 2 configuration error, 3 runtime error.
 """
 
@@ -15,7 +19,9 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
+import uuid
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -184,19 +190,41 @@ def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
     return parts
 
 
-def write_resolved_config(cfg: ExperimentConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        # the library that reads configs quotes what it would misread
-        yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=None,
-                       width=math.inf)
+def write_outputs(cfg: ExperimentConfig, files: dict[str, str]) -> None:
+    """Write `config.resolved` and each (file name, text) of `files` into cfg.out_dir.
 
-
-def write_metrics_csv(path: str, metrics: list[RoundMetrics]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RoundMetrics.CSV_HEADER + "\n")
-        for m in metrics:
-            fh.write(m.csv_row() + "\n")
+    All files or none. Each is written, UTF-8 with "\\n" line ends, into a
+    fresh directory: a new out_dir is that directory renamed into place;
+    into an existing one each file is moved up, and files this call does
+    not write stay. On any error the fresh directory is removed and the
+    error re-raised. Callers build every text before the call, so nothing
+    is formatted once a file exists.
+    """
+    # the library that reads configs quotes what it would misread
+    texts = {"config.resolved": yaml.safe_dump(asdict(cfg), sort_keys=True,
+                                               default_flow_style=None, width=math.inf),
+             **files}
+    out = os.path.normpath(cfg.out_dir)
+    exists = os.path.isdir(out)
+    parent = out if exists else os.path.dirname(out)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    # os.mkdir gives the mode os.makedirs gives, where tempfile.mkdtemp gives 0o700
+    scratch = os.path.join(parent, f".dsffs-{uuid.uuid4().hex}.tmp")
+    os.mkdir(scratch)
+    try:
+        for name, text in texts.items():
+            with open(os.path.join(scratch, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        if exists:
+            for name in texts:
+                os.replace(os.path.join(scratch, name), os.path.join(out, name))
+            os.rmdir(scratch)
+        else:
+            os.rename(scratch, out)
+    except BaseException:
+        shutil.rmtree(scratch, ignore_errors=True)
+        raise
 
 
 def cmd_run(args) -> int:
@@ -204,9 +232,6 @@ def cmd_run(args) -> int:
     parts = prepare(cfg)
     server, metrics, selection = run_training(cfg, parts)
 
-    # written only once training returned: a failed run leaves no directory
-    write_resolved_config(cfg)
-    write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), metrics)
     manifest = {
         "selected_features": selection.indices,
         "strengths": selection.strengths,
@@ -215,10 +240,12 @@ def cmd_run(args) -> int:
         "seed": cfg.seed,
         "config": asdict(cfg),
     }
-    with open(os.path.join(cfg.out_dir, "selected_features.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rows = [RoundMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
+    # written only once training returned: a failed run leaves no directory
+    write_outputs(cfg, {
+        "metrics.csv": "\n".join(rows) + "\n",
+        "selected_features.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    })
 
     final = metrics[-1]
     print(f"done: {cfg.rounds} rounds, final accuracy {final.test_accuracy:.4f}, "
@@ -263,14 +290,6 @@ def cmd_figure1(args) -> int:
         results.append(run_training(sub, parts))
     (_, m_orig, _), (_, m_noisy, _), (_, m_fs, selection) = results
 
-    write_resolved_config(cfg)
-    curves_path = os.path.join(cfg.out_dir, "figure1_curves.csv")
-    with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("round,acc_original,acc_noisy_nofs,acc_noisy_fs\n")
-        for a, b, c in zip(m_orig, m_noisy, m_fs):
-            fh.write(f"{a.round},{a.test_accuracy:.10g},{b.test_accuracy:.10g},"
-                     f"{c.test_accuracy:.10g}\n")
-
     recovered = sorted(set(selection.indices) & set(informative))
     report = {
         "n_informative": len(informative),
@@ -283,10 +302,13 @@ def cmd_figure1(args) -> int:
         "final_acc_noisy_fs": m_fs[-1].test_accuracy,
         "seed": cfg.seed,
     }
-    with open(os.path.join(cfg.out_dir, "figure1_report.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    curves = ["round,acc_original,acc_noisy_nofs,acc_noisy_fs"] + [
+        f"{a.round},{a.test_accuracy:.10g},{b.test_accuracy:.10g},{c.test_accuracy:.10g}"
+        for a, b, c in zip(m_orig, m_noisy, m_fs)]
+    write_outputs(cfg, {
+        "figure1_curves.csv": "\n".join(curves) + "\n",
+        "figure1_report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+    })
 
     print(f"figure1: original {report['final_acc_original']:.4f}, "
           f"noisy {report['final_acc_noisy_nofs']:.4f}, "
@@ -333,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train and emit metrics + feature manifest")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--workers", type=int, default=None,
-                       help="parallel client training (default: all clients)")
+                       help="client training threads (default: one per client, at most "
+                            "one per CPU this process may run on)")
     p_run.add_argument("--out", default=None, help="override output directory")
     p_run.set_defaults(func=cmd_run)
 

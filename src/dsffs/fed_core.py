@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -329,6 +330,14 @@ def plan_run(config: FedConfig, data: PartitionedDataset):
         raise ConfigError(f"layer 0 must keep {targets[0]} connections, but the removal "
                           f"schedule leaves {survivors} of {ds.d} inputs, {survivors} x "
                           f"{dims[1]} = {survivors * dims[1]} positions")
+    # under selection, layer 0 may end with fewer free positions than an
+    # update prunes (plain DST caps its churn at them, so it never does)
+    free = survivors * dims[1] - targets[0]
+    churn = math.floor(config.zeta * targets[0])
+    if config.feature_selection and free < churn:
+        log.warning("layer 0 has %d free positions (%d inputs left x %d units - %d "
+                    "connections), fewer than the %d connections one update churns; "
+                    "its regrowth can fall short", free, survivors, dims[1], targets[0], churn)
     return dims, k, targets, removal
 
 
@@ -337,8 +346,11 @@ def run_training(config: FedConfig, data: PartitionedDataset):
 
     `plan_run` checks the config and fixes the run's shape and neuron
     schedule; then each round the selected clients train in a thread pool
-    of config.workers threads (default one per client) on that round's
-    planned counts, and the server resparsifies what they aggregated.
+    on that round's planned counts, and the server resparsifies what they
+    aggregated. The pool has config.workers threads; by default (None)
+    one per client, but no more than the CPUs this process may run on
+    (`os.sched_getaffinity`, else `os.cpu_count()`), since a thread per
+    client beyond that adds a client network to memory and no speed.
     Every client draws its randomness from (seed, round, epoch), and each
     pool task folds its client into the aggregate only after the client
     before it in id order has, so results do not depend on the thread
@@ -368,7 +380,9 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                                config.local_epochs)
     metrics: list[RoundMetrics] = []
 
-    with ThreadPoolExecutor(max_workers=config.workers or config.clients) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=config.workers or min(config.clients, cpus)) as pool:
         for r, counts in enumerate(removal.counts, start=1):
             # drawing every client gives a permutation, so sorted range(clients)
             pick_rng = np.random.default_rng([config.seed, r, 0xC11])

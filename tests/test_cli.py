@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsffs import fed_core
+from dsffs import cli, fed_core
 from dsffs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -21,7 +21,7 @@ from dsffs.cli import (
     load_config,
     main,
     prepare,
-    write_resolved_config,
+    write_outputs,
 )
 from dsffs.sparse_net import ConfigError
 
@@ -179,12 +179,12 @@ class TestConfigParsing:
         else:
             p = write_cfg(tmp_path, TINY + source + "\n")
         cfg = load_config(p)
-        write_resolved_config(cfg)
+        write_outputs(cfg, {})
         written = Path(cfg.out_dir, "config.resolved")
         text = written.read_text(encoding="utf-8")
         again = load_config(str(written))
         assert again == cfg
-        write_resolved_config(again)
+        write_outputs(again, {})
         assert written.read_text(encoding="utf-8") == text
 
     @settings(max_examples=150, deadline=None)
@@ -216,7 +216,7 @@ class TestConfigParsing:
             try:
                 if cfg.path is not None:
                     Path(cfg.path).touch()       # the path check looks for it
-                write_resolved_config(cfg)
+                write_outputs(cfg, {})
                 assert load_config(os.path.join(cfg.out_dir, "config.resolved")) == cfg
             finally:
                 os.chdir(cwd)
@@ -259,9 +259,95 @@ class TestConfigParsing:
     def test_resolved_config_covers_every_key(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         cfg.out_dir = str(tmp_path / "out")
-        write_resolved_config(cfg)
+        write_outputs(cfg, {})
         written = yaml.safe_load((tmp_path / "out" / "config.resolved").read_text("utf-8"))
         assert sorted(written) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def fail_after_first_write(monkeypatch):
+    """Make cli's second open for writing raise, as a full disk would."""
+    written = []
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+class TestWriteOutputs:
+    def test_failed_write_leaves_no_new_directory(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "runs" / "out"))
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            write_outputs(cfg, {"metrics.csv": "round\n"})
+        # neither the output directory nor a temporary one
+        assert os.listdir(tmp_path / "runs") == []
+
+    def test_failed_write_keeps_existing_bytes(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(out_dir=str(out))
+        write_outputs(cfg, {"metrics.csv": "round\n1\n"})
+        (out / "notes.txt").write_text("kept\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with monkeypatch.context() as patch:
+            fail_after_first_write(patch)
+            with pytest.raises(OSError, match="No space left"):
+                write_outputs(cfg, {"metrics.csv": "round\n2\n"})
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # a rerun replaces what it writes and keeps the rest
+        write_outputs(cfg, {"metrics.csv": "round\n2\n"})
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == dict(
+            before, **{"metrics.csv": b"round\n2\n"})
+
+    def test_new_directory_gets_the_makedirs_mode(self, tmp_path):
+        os.makedirs(tmp_path / "reference")
+        write_outputs(ExperimentConfig(out_dir=str(tmp_path / "out")), {})
+        assert ((tmp_path / "out").stat().st_mode
+                == (tmp_path / "reference").stat().st_mode)
+
+    @pytest.mark.parametrize("command", ["run", "figure1"])
+    def test_text_that_fails_to_build_leaves_no_directory(self, tmp_path, monkeypatch,
+                                                          capsys, command):
+        # every text is built before the first file exists
+        def broken(*args, **kwargs):
+            raise ValueError("cannot encode")
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", broken)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: cannot encode\n"
+        assert os.listdir(tmp_path) == ["exp.yaml"]
+
+
+# TINY removes ceil(0.8 * 12 - K) of its 12 inputs. Layer 0 holds 40
+# connections of 8 units, and an update churns floor(0.2 * 40) = 8 of them:
+# K=4 leaves 6 x 8 - 40 = 8 free positions, K=3 leaves 5 x 8 - 40 = 0
+# figure1 logs the warning twice: it plans its selection run before any of
+# its runs trains, and again as that run trains (None: it cannot run this config)
+@pytest.mark.parametrize("edit, flagged, figure1_logs", [
+    (("k_features: 4", "k_features: 3"), True, 2),
+    (("k_features: 4", "k_features: 4"), False, 0),
+    # plain DST caps its churn at the free positions: a dense layer 0 has
+    # none. figure1's selection run of this config is rejected
+    (("sparsity: 0.5", "sparsity: 0.0\nfeature_selection: false"), False, None),
+], ids=["K=3", "K=4", "dense_plain_dst"])
+def test_layer0_churn_warning_at_plan_time(tmp_path, caplog, edit, flagged, figure1_logs):
+    p = write_cfg(tmp_path, TINY.replace(*edit))
+    warning = ("layer 0 has 0 free positions (5 inputs left x 8 units - 40 connections), "
+               "fewer than the 8 connections one update churns; its regrowth can fall short")
+    commands = [(["inspect"], 1), (["run", "--out", str(tmp_path / "run")], 1)]
+    if figure1_logs is not None:
+        commands.append((["figure1", "--out", str(tmp_path / "figure1")], figure1_logs))
+    for argv, times in commands:
+        caplog.clear()
+        assert main([*argv, "--config", p]) == EXIT_OK
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "dsffs.fed_core" and r.levelname == "WARNING"]
+        assert logged == ([warning] * times if flagged else []), argv
 
 
 class TestCmdRun:

@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import threading
 import time
 import warnings
 
@@ -353,6 +355,28 @@ class TestRunTraining:
         b = run_training(self.cfg(clients=4, rounds=2, workers=4), parts)
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
+
+    @pytest.mark.parametrize("source", ["sched_getaffinity", "cpu_count"])
+    def test_default_pool_has_no_more_threads_than_cpus(self, monkeypatch, source):
+        # workers=None: one thread per client, capped at the CPUs this
+        # process may run on; os.cpu_count() where affinity is unknown
+        parts = tiny_partition(m=4)
+        threads = []
+        real = fed_core.local_train
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        if source == "sched_getaffinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fed_core, "local_train", spy)
+        run_training(self.cfg(clients=4, rounds=2), parts)
+        assert len(threads) == 2 * 4
+        assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
     def test_clients_fold_in_id_order_whatever_finishes_first(self, monkeypatch):
         # lower ids train longest, so clients finish in reverse; the fold
