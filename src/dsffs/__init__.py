@@ -5,12 +5,12 @@ input-layer topology is pruned and regrown on a fixed schedule to select
 the K most informative features while conserving the connection budget.
 
 The package root exports the library entry points (`generate_synthetic`,
-`partition_noniid`, `FedConfig`, `run_training`) and the types their
-signatures expose; everything else lives in the submodules.
+`partition_noniid`, `FedConfig`, `plan_run`, `run_training`) and the
+types their signatures expose; everything else lives in the submodules.
 """
 
 from .data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
-from .fed_core import FedConfig, ServerState, run_training
+from .fed_core import FedConfig, RunPlan, ServerState, plan_run, run_training
 from .input_selector import SelectionResult
 from .metrics import RoundMetrics
 
@@ -19,10 +19,12 @@ __all__ = [
     "FedConfig",
     "PartitionedDataset",
     "RoundMetrics",
+    "RunPlan",
     "SelectionResult",
     "ServerState",
     "generate_synthetic",
     "partition_noniid",
+    "plan_run",
     "run_training",
 ]
 

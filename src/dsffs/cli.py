@@ -230,7 +230,7 @@ def write_outputs(cfg: ExperimentConfig, files: dict[str, str]) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, {"workers": args.workers, "out_dir": args.out})
     parts = prepare(cfg)
-    server, metrics, selection = run_training(cfg, parts)
+    server, metrics, selection = run_training(cfg, parts, plan_run(cfg, parts))
 
     manifest = {
         "selected_features": selection.indices,
@@ -282,12 +282,11 @@ def cmd_figure1(args) -> int:
                 (noisy, False, "noisy features (no selection)"),
                 (noisy, True, "noisy features with selection")]]
     # every run is planned before any trains, so a config error exits first
-    for sub, parts, _ in runs:
-        plan_run(sub, parts)
+    plans = [plan_run(sub, parts) for sub, parts, _ in runs]
     results = []
-    for sub, parts, what in runs:
+    for (sub, parts, what), plan in zip(runs, plans):
         log.info("figure1: training on %s", what)
-        results.append(run_training(sub, parts))
+        results.append(run_training(sub, parts, plan))
     (_, m_orig, _), (_, m_noisy, _), (_, m_fs, selection) = results
 
     recovered = sorted(set(selection.indices) & set(informative))
@@ -326,7 +325,7 @@ def cmd_inspect(args) -> int:
     """Print the dataset, partition and plan (`plan_run`) a run of this config has."""
     cfg = load_config(args.config)
     parts = prepare(cfg)
-    dims, k, targets, removal = plan_run(cfg, parts)
+    plan = plan_run(cfg, parts)
     ds = parts.data
     print(f"name: {ds.name}")
     print(f"N={ds.n} D={ds.d} C={ds.n_classes}")
@@ -335,11 +334,14 @@ def cmd_inspect(args) -> int:
     for m, shard in enumerate(parts.shards):
         print(f"shard {m}: {len(shard)} samples |",
               _histogram_line(ds.y[shard], ds.n_classes))
-    rows = ds.d - removal.T
-    print("layers:", "-".join(map(str, dims)), "| connection targets:", *targets)
-    print(f"removal: T={removal.T} r_remove={removal.r_remove} K={k}, {rows} inputs left")
-    print(f"layer 0 after removal: {rows} rows x {dims[1]} = {rows * dims[1]} positions "
-          f"for {targets[0]} connections")
+    rows = ds.d - plan.removal.T
+    print("layers:", "-".join(map(str, plan.dims)), "| connection targets:", *plan.targets)
+    print(f"removal: T={plan.removal.T} r_remove={plan.removal.r_remove} K={plan.k}, "
+          f"{rows} inputs left")
+    print(f"layer 0 after removal: {rows} rows x {plan.dims[1]} = {rows * plan.dims[1]} "
+          f"positions for {plan.targets[0]} connections")
+    print(f"planned costs: {plan.cumulative_flops[-1]} FLOPs, "
+          f"{plan.cumulative_upload_bits[-1]} upload bits")
     return EXIT_OK
 
 

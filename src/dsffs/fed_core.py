@@ -42,7 +42,7 @@ from .input_selector import (
     row_strengths,
     select_features,
 )
-from .metrics import MetricsRecorder, RoundMetrics
+from .metrics import MetricsRecorder, RoundMetrics, inference_flops, upload_cost_bits
 from .sparse_net import (
     ConfigError,
     SparseLayer,
@@ -106,6 +106,20 @@ class FedConfig:
         ]:
             if not ok:
                 raise ConfigError(problem)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """What `plan_run` fixes before round 1; round r's entries sit at index r - 1."""
+
+    dims: tuple[int, ...]                   # layer widths, input first
+    k: int                                  # features the run selects
+    targets: tuple[int, ...]                # per-layer connection counts
+    removal: RemovalPlan
+    clients: tuple[tuple[int, ...], ...]    # the ids that train, ascending
+    coeffs: tuple[tuple[float, ...], ...]   # their fold coefficients, n_m / total
+    cumulative_flops: tuple[int, ...]
+    cumulative_upload_bits: tuple[int, ...]
 
 
 @dataclass
@@ -295,13 +309,15 @@ def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> 
     return math.sqrt(total)
 
 
-def plan_run(config: FedConfig, data: PartitionedDataset):
+def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
     """Check a config against its data; fix what a run knows before round 1.
 
-    Returns (layer dims, K, per-layer connection targets, removal plan) and
-    raises every ConfigError a run can meet before training. K is
-    k_features capped at the input width. With feature selection off the
-    removal plan keeps every input: T = 0 and every count is zero.
+    Raises every ConfigError a run can meet before training. K is
+    k_features capped at the input width; with selection off, T = 0.
+    Round r trains the clients drawn from (seed, r, 0xC11). Every round
+    ends each layer on its target, so a client's cost is fixed too: Q *
+    ceil(N_m / B) * B training examples at 3x the targets' inference
+    FLOPs, and one sparse-model upload.
     """
     config.validate()
     if data.n_clients != config.clients:
@@ -317,7 +333,7 @@ def plan_run(config: FedConfig, data: PartitionedDataset):
     if ds.n_classes < 2:
         raise ConfigError(f"need at least two classes, the data has {ds.n_classes}")
 
-    dims = [ds.d] + list(config.hidden_dims) + [ds.n_classes]
+    dims = (ds.d, *config.hidden_dims, ds.n_classes)
     _, targets = er_allocation(dims, config.sparsity)
     k = min(config.k_features, ds.d)
     if k < config.k_features:
@@ -338,23 +354,40 @@ def plan_run(config: FedConfig, data: PartitionedDataset):
         log.warning("layer 0 has %d free positions (%d inputs left x %d units - %d "
                     "connections), fewer than the %d connections one update churns; "
                     "its regrowth can fall short", free, survivors, dims[1], targets[0], churn)
-    return dims, k, targets, removal
+
+    example_flops = 3 * inference_flops(targets, dims[1:])
+    model_bits = upload_cost_bits(sum(a * b for a, b in zip(dims, dims[1:])), config.sparsity)
+    clients, coeffs, flops, bits = [], [], [0], [0]
+    for r in range(1, config.rounds + 1):
+        # drawing every client gives a permutation, so sorted range(clients)
+        pick_rng = np.random.default_rng([config.seed, r, 0xC11])
+        selected = tuple(sorted(int(i) for i in pick_rng.choice(
+            config.clients, size=config.clients_per_round or config.clients, replace=False)))
+        sizes = [len(data.shards[m]) for m in selected]
+        total = float(sum(sizes))
+        clients.append(selected)
+        # normalized coefficients keep the one-client case exactly the identity
+        coeffs.append(tuple(n_m / total for n_m in sizes))
+        examples = sum(math.ceil(n_m / config.batch_size) * config.batch_size for n_m in sizes)
+        flops.append(flops[-1] + config.local_epochs * examples * example_flops)
+        bits.append(bits[-1] + len(sizes) * model_bits)
+    return RunPlan(dims, k, tuple(targets), removal, tuple(clients), tuple(coeffs),
+                   tuple(flops[1:]), tuple(bits[1:]))
 
 
-def run_training(config: FedConfig, data: PartitionedDataset):
-    """Full federated run; returns (server, per-round metrics, selection).
+def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
+    """Full federated run from `plan`; returns (server, per-round metrics, selection).
 
-    `plan_run` checks the config and fixes the run's shape and neuron
-    schedule; then each round the selected clients train in a thread pool
-    on that round's planned counts, and the server resparsifies what they
-    aggregated. The pool has config.workers threads; by default (None)
-    one per client, but no more than the CPUs this process may run on
-    (`os.sched_getaffinity`, else `os.cpu_count()`), since a thread per
-    client beyond that adds a client network to memory and no speed.
-    Every client draws its randomness from (seed, round, epoch), and each
-    pool task folds its client into the aggregate only after the client
-    before it in id order has, so results do not depend on the thread
-    count or on scheduling.
+    `plan` is `plan_run(config, data)`. Each round its clients train in a
+    thread pool on its counts and fold with its coefficients, and the
+    server resparsifies what they aggregated. The pool has config.workers
+    threads; by default (None) one per client, but no more than the CPUs
+    this process may run on (`os.sched_getaffinity`, else
+    `os.cpu_count()`), since a thread per client beyond that adds a
+    client network to memory and no speed. Every client draws its
+    randomness from (seed, round, epoch), and each pool task folds its
+    client into the aggregate only after the client before it in id order
+    has, so results do not depend on the thread count or on scheduling.
 
     What stays resident is the one normalized matrix in `data`, which
     every client indexes through its shard and the evaluator through the
@@ -371,31 +404,19 @@ def run_training(config: FedConfig, data: PartitionedDataset):
     comes from one arena: the `wide_input` benchmark workload peaks at
     about 150 MB instead of 164 MB, with the same outputs.
     """
-    dims, k, _, removal = plan_run(config, data)
     ds = data.data
-    server = ServerState(init_er_topology(dims, config.sparsity, config.seed), removal,
-                         np.zeros(ds.d, dtype=bool))
-
-    recorder = MetricsRecorder((ds.X, ds.y), data.test, config.batch_size,
-                               config.local_epochs)
+    server = ServerState(init_er_topology(plan.dims, config.sparsity, config.seed),
+                         plan.removal, np.zeros(ds.d, dtype=bool))
+    recorder = MetricsRecorder((ds.X, ds.y), data.test, plan)
     metrics: list[RoundMetrics] = []
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=config.workers or min(config.clients, cpus)) as pool:
-        for r, counts in enumerate(removal.counts, start=1):
-            # drawing every client gives a permutation, so sorted range(clients)
-            pick_rng = np.random.default_rng([config.seed, r, 0xC11])
-            selected = sorted(int(i) for i in pick_rng.choice(
-                config.clients, size=config.clients_per_round or config.clients,
-                replace=False))
-
+        for r, (counts, selected, coeffs) in enumerate(
+                zip(plan.removal.counts, plan.clients, plan.coeffs), start=1):
             broadcast = server.global_model
             removed = server.global_removed
-            sizes = [len(data.shards[m]) for m in selected]
-            total = float(sum(sizes))
-            # normalized coefficients keep the one-client case exactly the identity
-            coeffs = [n_m / total for n_m in sizes]
             sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
                     for layer in broadcast.layers]
             folded = [threading.Event() for _ in selected]
@@ -430,7 +451,7 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                     raise FloatingPointError(
                         f"round {r}: training diverged (non-finite global weights or biases)"
                     )
-                return recorder.record_round(server.global_model, r, sizes, drift)
+                return recorder.record_round(server.global_model, r, drift)
 
             # on a pool thread, so its arrays share an arena with the clients'
             # (see the docstring); result() re-raises its error here
@@ -440,5 +461,5 @@ def run_training(config: FedConfig, data: PartitionedDataset):
                      r, config.rounds, rm.test_accuracy,
                      rm.connected_input_neurons, rm.global_nnz)
 
-    selection: SelectionResult = select_features(server.global_model, k)
+    selection: SelectionResult = select_features(server.global_model, plan.k)
     return server, metrics, selection

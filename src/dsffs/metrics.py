@@ -1,11 +1,12 @@
-"""Accuracy, sparsity-aware FLOPs, and communication-cost accounting.
+"""Accuracy, the per-round record, and the sparsity-aware cost conventions.
 
 Conventions, fixed for reproducibility: one multiply-accumulate costs 2
 FLOPs, a training pass costs 3x an inference pass (forward plus roughly
 twice that for the backward), and a transmitted sparse model costs
 (32 * (1 - S) + 1) * n bits: 32-bit values for the live weights plus one
 mask bit per maskable position. Topology-update overhead (strength sums,
-sorting, the extra gradient evaluation) is excluded from FLOPs.
+sorting, the extra gradient evaluation) is excluded from FLOPs. The costs
+are fixed before round 1: `fed_core.plan_run` applies these conventions.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def inference_flops(nnz_per_layer, bias_units_per_layer=None) -> int:
     return total
 
 
-def flops_per_example(net: SparseNetwork, layer_nnz: list[int]) -> int:
-    """Per-example training cost of `net` with `layer_nnz` live weights: 3x inference."""
-    return 3 * inference_flops(layer_nnz, [layer.cols for layer in net.layers])
-
-
 def upload_cost_bits(n_params: int, sparsity: float) -> int:
     """Bits to transmit a sparse model of n maskable positions at sparsity S."""
     if not 0.0 <= sparsity <= 1.0:
@@ -89,45 +85,26 @@ def upload_cost_bits(n_params: int, sparsity: float) -> int:
 
 
 class MetricsRecorder:
-    """Accumulates per-round metrics and the cumulative cost counters.
+    """Each round's costs from `plan`, a `fed_core.RunPlan`, and accuracy on `test_rows`."""
 
-    Upload is charged per participating client per round. Accuracy is
-    evaluated on rows `test_rows` of the (X, y) pair `data`.
-    """
-
-    def __init__(self, data, test_rows: np.ndarray, batch_size: int, local_epochs: int):
+    def __init__(self, data, test_rows: np.ndarray, plan):
         self.data = data
         self.test_rows = test_rows
-        self.batch_size = batch_size
-        self.local_epochs = local_epochs
-        self.cumulative_flops = 0
-        self.cumulative_upload_bits = 0
+        self.plan = plan
 
-    def record_round(self, net: SparseNetwork, r: int, participant_sizes,
-                     client_drift: float) -> RoundMetrics:
-        """Metrics of the global model `net` after round `r`.
+    def record_round(self, net: SparseNetwork, r: int, client_drift: float) -> RoundMetrics:
+        """Round `r`'s planned costs and what `net`, the global model after it, measures.
 
-        `participant_sizes` holds the local sample count of every client
-        that trained this round, and `client_drift` their mean drift from
-        the broadcast model. FLOPs charge Q * ceil(N_m / B) * B
-        training examples per client; the connection count is conserved
-        across the round, so the per-example cost is well defined.
+        `client_drift` is the round's mean client drift from the broadcast.
         """
-        layer_nnz = net.layer_nnz()
-        train_cost = flops_per_example(net, layer_nnz)
-        per_model_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
-        for n_m in participant_sizes:
-            batches = math.ceil(n_m / self.batch_size)
-            self.cumulative_flops += self.local_epochs * batches * self.batch_size * train_cost
-            self.cumulative_upload_bits += per_model_bits
         acc = accuracy(net, self.data, self.test_rows)
         connected = int(net.layers[0].mask.any(axis=1).sum())
         return RoundMetrics(
             round=r,
             test_accuracy=acc,
-            cumulative_flops=self.cumulative_flops,
-            cumulative_upload_bits=self.cumulative_upload_bits,
+            cumulative_flops=self.plan.cumulative_flops[r - 1],
+            cumulative_upload_bits=self.plan.cumulative_upload_bits[r - 1],
             connected_input_neurons=connected,
-            layer_nnz=layer_nnz,
+            layer_nnz=net.layer_nnz(),
             client_drift=client_drift,
         )

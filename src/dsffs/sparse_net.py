@@ -76,9 +76,6 @@ class SparseNetwork:
     def nnz(self) -> int:
         return sum(self.layer_nnz())
 
-    def dense_param_count(self) -> int:
-        return sum(layer.rows * layer.cols for layer in self.layers)
-
     def touch(self) -> None:
         self.version += 1
 

@@ -326,10 +326,10 @@ class TestWriteOutputs:
 # TINY removes ceil(0.8 * 12 - K) of its 12 inputs. Layer 0 holds 40
 # connections of 8 units, and an update churns floor(0.2 * 40) = 8 of them:
 # K=4 leaves 6 x 8 - 40 = 8 free positions, K=3 leaves 5 x 8 - 40 = 0
-# figure1 logs the warning twice: it plans its selection run before any of
-# its runs trains, and again as that run trains (None: it cannot run this config)
+# figure1 plans each of its runs once, before any trains, and logs the
+# warning once (None: it cannot run this config)
 @pytest.mark.parametrize("edit, flagged, figure1_logs", [
-    (("k_features: 4", "k_features: 3"), True, 2),
+    (("k_features: 4", "k_features: 3"), True, 1),
     (("k_features: 4", "k_features: 4"), False, 0),
     # plain DST caps its churn at the free positions: a dense layer 0 has
     # none. figure1's selection run of this config is rejected
@@ -516,10 +516,11 @@ class TestCmdInspect:
         assert main(["inspect", "--config", str(REPO / "configs" / "synthetic_noisy.yaml")]) \
             == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[-3:] == [
+        assert out[-4:] == [
             "layers: 500-100-50-2 | connection targets: 8736 2184 100",
             "removal: T=370 r_remove=39 K=30, 130 inputs left",
             "layer 0 after removal: 130 rows x 100 = 13000 positions for 8736 connections",
+            "planned costs: 13549547520 FLOPs, 97857600 upload bits",
         ]
 
     def test_csv_with_partition(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from dsffs.fed_core import (
     run_training,
 )
 from dsffs.input_selector import ScheduleCounts, removal_plan, row_strengths
+from dsffs.metrics import inference_flops, upload_cost_bits
 from dsffs.sparse_net import ConfigError, init_er_topology
 
 from conftest import build_net, fold
@@ -95,7 +96,7 @@ class TestAggregate:
         # rejected before round 1
         cfg = FedConfig(hidden_dims=[4], clients=2, clients_per_round=0, rounds=1)
         with pytest.raises(ValueError, match="clients_per_round"):
-            run_training(cfg, tiny_partition())
+            plan_run(cfg, tiny_partition())
 
 
 class TestSharedMaskDrift:
@@ -243,6 +244,11 @@ class TestResparsify:
         assert not out2.layers[1].mask[oi, oj]  # off-cadence: mask held fixed
 
 
+def plan_and_train(config, parts):
+    """Plan a run of `config` on `parts`, then train it."""
+    return run_training(config, parts, plan_run(config, parts))
+
+
 def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
     rng = np.random.default_rng(seed)
     n = n_per_shard * m + 10
@@ -335,7 +341,7 @@ class TestRunTraining:
 
     def test_smoke_single_round(self):
         parts = tiny_partition()
-        server, metrics, sel = run_training(self.cfg(), parts)
+        server, metrics, sel = plan_and_train(self.cfg(), parts)
         assert len(metrics) == 1
         assert metrics[0].global_nnz == sum(server.global_model.nnz_targets)
         assert len(sel.indices) == 3
@@ -343,16 +349,16 @@ class TestRunTraining:
     def test_deterministic_reruns(self):
         parts = tiny_partition()
         cfg = self.cfg(rounds=3)
-        a = run_training(cfg, parts)
-        b = run_training(self.cfg(rounds=3), parts)
+        a = plan_and_train(cfg, parts)
+        b = plan_and_train(self.cfg(rounds=3), parts)
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
         assert a[2].strengths == b[2].strengths
 
     def test_workers_do_not_change_results(self):
         parts = tiny_partition(m=4)
-        a = run_training(self.cfg(clients=4, rounds=2, workers=1), parts)
-        b = run_training(self.cfg(clients=4, rounds=2, workers=4), parts)
+        a = plan_and_train(self.cfg(clients=4, rounds=2, workers=1), parts)
+        b = plan_and_train(self.cfg(clients=4, rounds=2, workers=4), parts)
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
 
@@ -374,7 +380,7 @@ class TestRunTraining:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(fed_core, "local_train", spy)
-        run_training(self.cfg(clients=4, rounds=2), parts)
+        plan_and_train(self.cfg(clients=4, rounds=2), parts)
         assert len(threads) == 2 * 4
         assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
@@ -382,7 +388,7 @@ class TestRunTraining:
         # lower ids train longest, so clients finish in reverse; the fold
         # still walks them in id order and the bits match one worker
         parts = tiny_partition(m=4)
-        serial = run_training(self.cfg(clients=4, rounds=2, workers=1), parts)
+        serial = plan_and_train(self.cfg(clients=4, rounds=2, workers=1), parts)
         real_train, real_fold = fed_core.local_train, fed_core.aggregate
         owner, folds = {}, []
 
@@ -404,7 +410,7 @@ class TestRunTraining:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_training(self.cfg(clients=4, rounds=2, workers=4), parts)
+            threaded = plan_and_train(self.cfg(clients=4, rounds=2, workers=4), parts)
         finally:
             sys.setswitchinterval(interval)
         assert folds == [0, 1, 2, 3] * 2
@@ -432,7 +438,7 @@ class TestRunTraining:
         parts = tiny_partition()
         parts.shards[1] = np.array([], dtype=int)
         with pytest.raises(ConfigError, match="empty"):
-            run_training(self.cfg(), parts)
+            plan_run(self.cfg(), parts)
 
     def test_single_client_rejected(self):
         with pytest.raises(ConfigError, match="two clients"):
@@ -445,30 +451,30 @@ class TestRunTraining:
         monkeypatch.setattr(fed_core, "local_train", lambda *args: trained.append(args))
         parts = partition_noniid(generate_synthetic(5, 45, 200, 2, seed=0), 2, 0.5, seed=0)
         with pytest.raises(ConfigError, match=r"192 connections.* 15 of 50 inputs.* 120 positions"):
-            run_training(self.cfg(rounds=3, k_features=5), parts)
+            plan_and_train(self.cfg(rounds=3, k_features=5), parts)
         assert trained == []
 
     def test_plan_without_selection_removes_nothing(self):
         parts = tiny_partition()
-        *_, off = plan_run(self.cfg(rounds=4, feature_selection=False), parts)
+        off = plan_run(self.cfg(rounds=4, feature_selection=False), parts).removal
         assert off.T == 0
         assert off.counts == (ScheduleCounts(0, 0),) * 4
-        *_, on = plan_run(self.cfg(rounds=4), parts)
+        on = plan_run(self.cfg(rounds=4), parts).removal
         assert on.T == sum(on.history) == 2   # ceil(0.8 * 6 - 3)
 
     def test_one_class_rejected(self):
         with pytest.raises(ConfigError, match="need at least two classes, the data has 1"):
-            run_training(self.cfg(), tiny_partition(c=1))
+            plan_run(self.cfg(), tiny_partition(c=1))
 
     def test_client_subsampling(self):
         parts = tiny_partition(m=4)
         cfg = self.cfg(clients=4, clients_per_round=2, rounds=3)
-        server, metrics, _ = run_training(cfg, parts)
+        server, metrics, _ = plan_and_train(cfg, parts)
         assert len(metrics) == 3
         assert metrics[-1].global_nnz == sum(server.global_model.nnz_targets)
         # drawing all clients is the same run as leaving the draw unset
         (s_all, m_all, sel_all), (s_none, m_none, sel_none) = (
-            run_training(self.cfg(clients=4, clients_per_round=cpr, rounds=3), parts)
+            plan_and_train(self.cfg(clients=4, clients_per_round=cpr, rounds=3), parts)
             for cpr in (4, None))
         assert [m.csv_row() for m in m_all] == [m.csv_row() for m in m_none]
         assert (sel_all.indices, sel_all.strengths) == (sel_none.indices, sel_none.strengths)
@@ -480,7 +486,7 @@ class TestRunTraining:
     def test_nnz_conserved_with_feature_selection(self):
         parts = tiny_partition(m=2)
         cfg = self.cfg(rounds=6, local_epochs=2)
-        server, metrics, _ = run_training(cfg, parts)
+        server, metrics, _ = plan_and_train(cfg, parts)
         init_nnz = sum(server.global_model.nnz_targets)
         assert all(m.global_nnz == init_nnz for m in metrics)
         # removal schedule realized: connected count lands at D - T
@@ -507,10 +513,11 @@ class TestRoundProperties:
         )
         parts = tiny_partition(n_per_shard=data.draw(st.integers(3, 10)), m=m,
                                seed=base["seed"])
+        plan = plan_run(FedConfig(**base), parts)
         with warnings.catch_warnings():
             # a tiny client layer may regrow short; the server restores the budget
             warnings.simplefilter("ignore", RuntimeWarning)
-            runs = [run_training(FedConfig(**base, workers=w), parts) for w in (1, 2)]
+            runs = [run_training(FedConfig(**base, workers=w), parts, plan) for w in (1, 2)]
         (s1, metrics1, sel1), (s2, metrics2, sel2) = runs
         assert [r.csv_row() for r in metrics1] == [r.csv_row() for r in metrics2]
         assert sel1.indices == sel2.indices
@@ -521,3 +528,19 @@ class TestRoundProperties:
         for server, metrics, _ in runs:
             assert len(metrics) == base["rounds"]
             assert all(m.layer_nnz == server.global_model.nnz_targets for m in metrics)
+        # the planned costs are what counting each round's trained model and
+        # drawn clients gives: Q * ceil(N_m / B) * B examples at 3x the
+        # inference FLOPs of the round's nnz, and one upload per client
+        assert all(len(ids) == (cpr or m) and list(ids) == sorted(set(ids))
+                   for ids in plan.clients)
+        layers = s1.global_model.layers
+        cols = [layer.cols for layer in layers]
+        model_bits = upload_cost_bits(sum(l.rows * l.cols for l in layers), base["sparsity"])
+        flops = bits = 0
+        for r, rm in enumerate(metrics1, start=1):
+            for client in plan.clients[r - 1]:
+                batches = math.ceil(len(parts.shards[client]) / base["batch_size"])
+                flops += (base["local_epochs"] * batches * base["batch_size"]
+                          * 3 * inference_flops(rm.layer_nnz, cols))
+                bits += model_bits
+            assert (rm.cumulative_flops, rm.cumulative_upload_bits) == (flops, bits)

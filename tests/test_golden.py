@@ -3,13 +3,14 @@
 Each run takes the desk config (configs/synthetic_noisy.yaml), cuts it to
 a few rounds, optionally overrides keys, and trains in a child process
 with the BLAS thread pools pinned to one thread: the last digits of the
-reported strengths depend on how the matmuls split their work. Four
+reported strengths depend on how the matmuls split their work. Five
 variants cover the distinct training branches: the desk config as is
 (input selection on, no proximal term), selection off (layer 0 runs plain
 DST on the dense input-layer gradient), FedProx (mu > 0, the proximal
-branch of the SGD step) and three kept features (layer 0's connected rows
-run out of free positions, so its regrow takes the shortfall path). A
-fifth covers the data path: zscore normalization, whose statistics and
+branch of the SGD step), three kept features (layer 0's connected rows
+run out of free positions, so its regrow takes the shortfall path) and a
+client draw (two of the four clients train each round). A sixth covers
+the data path: zscore normalization, whose statistics and
 output `data.normalize` computes in place on the one matrix. Two figure1
 studies, under minmax and under zscore, cover a dataset that the caller
 builds and `prepare` normalizes in place: the informative columns taken
@@ -109,6 +110,14 @@ def test_regrow_shortfall_run_matches_recorded_hashes(tmp_path):
         "metrics.csv": "cfbfbd567bc5ac5b9bebcaf9fffd1a31be6c03374efef4a1cdf60cce291a944a",
         "selected_features.json":
             "b095c598a7c4ad0c72db4080d6e6c928735df37a376e03ac3b5de0310d79b34d",
+    }
+
+
+def test_client_draw_run_matches_recorded_hashes(tmp_path):
+    assert run_desk(tmp_path, rounds=5, clients_per_round=2) == {
+        "metrics.csv": "f42cf78c3c4b575288cd2e9e5f02a39207a372b5705f80215de3ce4ef13d921d",
+        "selected_features.json":
+            "6481cbd78648530f776d83dada6eddd5b7bc8f27fee1976e5cd5bc4825dd5b6e",
     }
 
 

@@ -19,9 +19,9 @@ import pytest
 
 from dsffs import cli, fed_core, metrics
 from dsffs.data import generate_synthetic
-from dsffs.fed_core import FedConfig, run_training
+from dsffs.fed_core import FedConfig
 
-from test_fed_core import tiny_partition
+from test_fed_core import plan_and_train, tiny_partition
 
 
 def traced_peak(fn):
@@ -90,7 +90,7 @@ def test_clients_index_the_shared_matrix(monkeypatch):
         return real(X, y, rows, *rest)
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    run_training(cfg(), parts)
+    plan_and_train(cfg(), parts)
     assert len(seen) == 3 * 3
     for k, (X, y, rows) in enumerate(seen):
         assert X is parts.data.X and y is parts.data.y
@@ -107,7 +107,7 @@ def test_evaluator_indexes_the_shared_matrix(monkeypatch):
         return real(net, data, rows)
 
     monkeypatch.setattr(metrics, "accuracy", spy)
-    run_training(cfg(), parts)
+    plan_and_train(cfg(), parts)
     assert len(seen) == 3
     for (X, y), rows in seen:
         assert X is parts.data.X and y is parts.data.y
@@ -128,7 +128,7 @@ def test_round_client_networks_released_before_next_round(monkeypatch, workers):
         return net
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    run_training(cfg(workers=workers), parts)
+    plan_and_train(cfg(workers=workers), parts)
     assert len(returned) == 3 * 3
     assert alive_at_start == []
     assert np.all([ref() is None for _, ref in returned])
@@ -151,7 +151,7 @@ def test_at_most_one_client_network_per_worker(monkeypatch, workers):
         return net
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    run_training(cfg(clients=5, workers=workers, hidden_dims=[8]), parts)
+    plan_and_train(cfg(clients=5, workers=workers, hidden_dims=[8]), parts)
     assert len(alive_at_start) == 5 * 3
     assert max(alive_at_start) <= workers - 1, alive_at_start
 
@@ -172,7 +172,7 @@ def test_failing_client_fails_the_run(monkeypatch):
 
     def run():
         try:
-            run_training(cfg(clients=4, workers=3), parts)
+            plan_and_train(cfg(clients=4, workers=3), parts)
         except Exception as exc:  # noqa: BLE001 - handed to the test thread
             raised.append(exc)
 
@@ -202,7 +202,7 @@ def test_server_step_runs_on_the_pool(monkeypatch, workers):
                         on_thread("server", fed_core.resparsify_and_reconcile))
     monkeypatch.setattr(metrics.MetricsRecorder, "record_round",
                         on_thread("server", metrics.MetricsRecorder.record_round))
-    run_training(cfg(workers=workers), parts)
+    plan_and_train(cfg(workers=workers), parts)
     assert len(threads["client"]) == 3 * 3 and len(threads["server"]) == 2 * 3
     assert threading.get_ident() not in threads["server"]
     if workers == 1:
@@ -237,7 +237,7 @@ def test_last_topology_update_holds_no_sgd_state_or_cache(monkeypatch):
     monkeypatch.setattr(fed_core, "sgd_step", step)
     monkeypatch.setattr(fed_core, "forward", forward)
     monkeypatch.setattr(fed_core, "regrow_input", regrow)
-    run_training(config, parts)
+    plan_and_train(config, parts)
     assert len(alive) == 3 * 3 * config.local_epochs
     # earlier epochs still move the momentum onto the new masks
     assert all(state for q, state, _ in alive if q < config.local_epochs)

@@ -2,18 +2,39 @@ import numpy as np
 import pytest
 
 from dsffs import metrics
-from dsffs.data import Dataset
+from dsffs.data import Dataset, PartitionedDataset
+from dsffs.fed_core import FedConfig, plan_run
 from dsffs.metrics import (
     MetricsRecorder,
     RoundMetrics,
     accuracy,
-    flops_per_example,
     inference_flops,
     upload_cost_bits,
 )
 from dsffs.sparse_net import forward, init_er_topology
 
 from conftest import build_net
+from test_fed_core import tiny_partition
+
+
+def plan_costs(dims, shard_sizes, **keys):
+    """The plan of a run on `dims`, its clients holding `shard_sizes` rows.
+
+    Returns (plan, a network on the plan's connection targets).
+    """
+    d, *hidden, c = dims
+    rng = np.random.default_rng(0)
+    n = sum(shard_sizes) + 2 * c
+    # every class appears in the held-out rows at the end
+    ds = Dataset(rng.normal(size=(n, d)), np.concatenate(
+        [rng.integers(0, c, size=n - 2 * c), np.arange(2 * c) % c]))
+    ends = np.cumsum(shard_sizes)
+    shards = [np.arange(end - size, end) for size, end in zip(shard_sizes, ends)]
+    config = FedConfig(**{"hidden_dims": hidden, "clients": len(shard_sizes), "rounds": 1,
+                          "k_features": d, "local_epochs": 2, "batch_size": 10,
+                          "sparsity": 0.5, **keys})
+    plan = plan_run(config, PartitionedDataset(ds, shards, np.arange(ends[-1], n)))
+    return plan, init_er_topology(dims, config.sparsity, config.seed)
 
 
 class TestAccuracy:
@@ -90,9 +111,11 @@ class TestFlops:
         assert inference_flops([1000], [10]) == 2010
 
     def test_training_is_three_times_inference(self):
-        net = init_er_topology([50, 20, 5], 0.5, seed=0)
+        # one client, one epoch, one batch of 30: 30 training examples
+        plan, net = plan_costs([50, 20, 5], [30, 30], clients_per_round=1,
+                               local_epochs=1, batch_size=30)
         nnz, cols = net.layer_nnz(), [layer.cols for layer in net.layers]
-        assert flops_per_example(net, nnz) == 3 * inference_flops(nnz, cols)
+        assert plan.cumulative_flops == (30 * 3 * inference_flops(nnz, cols),)
 
     def test_sparse_dense_proportionality(self):
         dims = [784, 200, 200, 10]
@@ -103,10 +126,13 @@ class TestFlops:
         assert ratio == pytest.approx(0.2, abs=len(dims) / dense.nnz())
 
     def test_depends_only_on_counts(self):
-        a = init_er_topology([30, 10, 4], 0.5, seed=1)
-        b = init_er_topology([30, 10, 4], 0.5, seed=1)
-        b.layers[0].weights *= 100.0
-        assert flops_per_example(a, a.layer_nnz()) == flops_per_example(b, b.layer_nnz())
+        parts = tiny_partition(d=30, c=4, m=3)
+        config = FedConfig(hidden_dims=[10], clients=3, rounds=3, k_features=30)
+        a = plan_run(config, parts)
+        parts.data.X *= 100.0
+        b = plan_run(config, parts)
+        assert (a.cumulative_flops, a.cumulative_upload_bits) == \
+            (b.cumulative_flops, b.cumulative_upload_bits)
 
 
 class TestUploadCost:
@@ -131,44 +157,37 @@ class TestUploadCost:
 
 
 class TestRecordRound:
-    def make_recorder(self, net, batch=10, epochs=2):
+    def make_recorder(self, plan, net):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, net.layers[0].rows))
         y = rng.integers(0, net.layers[-1].cols, size=40)
-        return MetricsRecorder((X, y), np.arange(40), batch, epochs)
-
-    def test_no_participants_no_cost(self):
-        net = init_er_topology([6, 4, 2], 0.5, seed=0)
-        rec = self.make_recorder(net)
-        m = rec.record_round(net, 1, [], 0.0)
-        assert m.cumulative_flops == 0
-        assert m.cumulative_upload_bits == 0
+        return MetricsRecorder((X, y), np.arange(40), plan)
 
     def test_two_identical_clients_double_cost(self):
-        net = init_er_topology([6, 4, 2], 0.5, seed=0)
-        rec1 = self.make_recorder(net)
-        rec2 = self.make_recorder(net)
-        one = rec1.record_round(net, 1, [30], 0.0)
-        two = rec2.record_round(net, 1, [30, 30], 0.0)
-        assert two.cumulative_upload_bits == 2 * one.cumulative_upload_bits
-        assert two.cumulative_flops == 2 * one.cumulative_flops
+        one, _ = plan_costs([6, 4, 2], [30, 30], clients_per_round=1)
+        two, _ = plan_costs([6, 4, 2], [30, 30])
+        assert two.cumulative_upload_bits[0] == 2 * one.cumulative_upload_bits[0]
+        assert two.cumulative_flops[0] == 2 * one.cumulative_flops[0]
 
     def test_closed_form_accumulation(self):
-        net = init_er_topology([20, 10, 4], 0.8, seed=0)
-        rec = self.make_recorder(net, batch=8, epochs=3)
-        sizes = [17] * 10  # 10 identical clients
+        # 10 identical clients
+        plan, net = plan_costs([20, 10, 4], [17] * 10, sparsity=0.8, batch_size=8,
+                               local_epochs=3, rounds=5)
+        rec = self.make_recorder(plan, net)
         last = None
         for r in range(1, 6):
-            last = rec.record_round(net, r, sizes, 0.0)
-        per_client_bits = upload_cost_bits(net.dense_param_count(), net.sparsity)
+            last = rec.record_round(net, r, 0.0)
+        dense = sum(layer.rows * layer.cols for layer in net.layers)
+        per_client_bits = upload_cost_bits(dense, net.sparsity)
         assert last.cumulative_upload_bits == 5 * 10 * per_client_bits
         import math
-        per_client_flops = 3 * math.ceil(17 / 8) * 8 * flops_per_example(net, net.layer_nnz())
+        per_example = 3 * inference_flops(net.layer_nnz(), [layer.cols for layer in net.layers])
+        per_client_flops = 3 * math.ceil(17 / 8) * 8 * per_example
         assert last.cumulative_flops == 5 * 10 * per_client_flops
 
     def test_round_record_holds_layer_nnz_and_drift(self):
-        net = init_er_topology([8, 6, 2], 0.5, seed=2)
-        m = self.make_recorder(net).record_round(net, 1, [10], 0.25)
+        plan, net = plan_costs([8, 6, 2], [10, 10])
+        m = self.make_recorder(plan, net).record_round(net, 1, 0.25)
         assert m.layer_nnz == net.layer_nnz()
         assert m.global_nnz == net.nnz()
         assert m.client_drift == 0.25
@@ -176,11 +195,11 @@ class TestRecordRound:
         assert m.csv_row().count(",") == RoundMetrics.CSV_HEADER.count(",") == 5
 
     def test_counters_monotone(self):
-        net = init_er_topology([8, 6, 2], 0.5, seed=2)
-        rec = self.make_recorder(net)
+        plan, net = plan_costs([8, 6, 2], [10, 20], rounds=4)
+        rec = self.make_recorder(plan, net)
         prev_f = prev_u = -1
         for r in range(1, 5):
-            m = rec.record_round(net, r, [10, 20], 0.0)
+            m = rec.record_round(net, r, 0.0)
             assert m.cumulative_flops > prev_f
             assert m.cumulative_upload_bits > prev_u
             prev_f, prev_u = m.cumulative_flops, m.cumulative_upload_bits
