@@ -145,6 +145,15 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     read only when feature selection is on: the first epoch applies it,
     later epochs apply steady-state churn (equal prune/regrow, no net
     removal).
+
+    The last epoch stops at its prunes: no re-evaluation and no regrowth.
+    Regrowth only sets mask bits at weight +0.0, where an inactive
+    position already holds +0.0, so the returned weights and biases are
+    the same bytes either way, and they are all that `aggregate` and
+    `resparsify_and_reconcile` read. The returned mask is therefore each
+    layer's target minus the last epoch's prune, not the target. Only
+    `_shared_mask_drift` reads it, so the round's client drift leaves out
+    the positions the regrowth would have re-added.
     """
     net = global_net.copy()
     removed = global_removed.copy()
@@ -164,34 +173,44 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
             sel = rows[order[start:start + config.batch_size]]
             xb, yb = X[sel], y[sel]
             _, cache = forward(net, xb)
-            grads = backward(net, cache, yb)
-            velocity = sgd_step(net, grads, config.lr, config.momentum, velocity, prox)
+            # no name holds the gradients, so they die in the step, before
+            # the next backward makes more
+            velocity = sgd_step(net, backward(net, cache, yb), config.lr, config.momentum,
+                                velocity, prox)
+            del cache
 
-        # dense gradients on the last minibatch at the current weights drive
-        # this epoch's prune/regrow; this extra evaluation is topology
-        # overhead and is not charged to the FLOPs accounting
-        _, cache = forward(net, xb)
-        grads = backward(net, cache, yb)
-        # the topology update reads neither the forward cache nor, after
-        # the last epoch, the momentum: free them before it allocates
-        del cache
-        if q == config.local_epochs:
+        last = q == config.local_epochs
+        if last:
+            # nothing reads the momentum again: free it before the prunes
             velocity = None
+        else:
+            # dense gradients on the last minibatch at the current weights
+            # drive this epoch's regrowth; this extra evaluation is topology
+            # overhead and is not charged to the FLOPs accounting
+            _, cache = forward(net, xb)
+            grads = backward(net, cache, yb)
+            del cache
 
         if config.feature_selection:
             epoch_counts = counts if q == 1 else counts.churn()
             update = prune_input(net, removed, epoch_counts, config.zeta)
-            regrow_input(net, removed, epoch_counts, grads.weights[0], update)
         elif config.zeta > 0.0:
             # plain dynamic sparse training on the input layer too
             delta0 = TopologyDelta()
             prune_layer_by_magnitude(net, 0, churn_count(net, 0, config.zeta), delta0)
-            regrow_layer_by_gradient(net, 0, grads.weights[0], delta0)
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
+        if last:
+            return net
+
+        if config.feature_selection:
+            regrow_input(net, removed, epoch_counts, grads.weights[0], update)
+        elif config.zeta > 0.0:
+            regrow_layer_by_gradient(net, 0, grads.weights[0], delta0)
+        if config.zeta > 0.0:
             gradient_regrow_hidden(net, grads.weights, delta)
-        if velocity is not None:
-            mask_velocity(net, velocity)
+        del grads
+        mask_velocity(net, velocity)
     return net
 
 
@@ -347,10 +366,11 @@ def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
                           f"schedule leaves {survivors} of {ds.d} inputs, {survivors} x "
                           f"{dims[1]} = {survivors * dims[1]} positions")
     # under selection, layer 0 may end with fewer free positions than an
-    # update prunes (plain DST caps its churn at them, so it never does)
+    # update prunes (plain DST caps its churn at them, so it never does);
+    # only an epoch before a client's last regrows, so Q = 1 cannot fall short
     free = survivors * dims[1] - targets[0]
     churn = math.floor(config.zeta * targets[0])
-    if config.feature_selection and free < churn:
+    if config.feature_selection and config.local_epochs >= 2 and free < churn:
         log.warning("layer 0 has %d free positions (%d inputs left x %d units - %d "
                     "connections), fewer than the %d connections one update churns; "
                     "its regrowth can fall short", free, survivors, dims[1], targets[0], churn)
@@ -395,24 +415,27 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
     sums. A client network lives from its training until its fold, so at
     most config.workers of them are alive at once.
 
-    The server step (resparsify, the non-finite check, the evaluation)
-    also runs as a task on the pool, while this thread waits on it. glibc
+    The initial topology, each round's server step (resparsify, the
+    non-finite check, the evaluation) and the final feature selection
+    also run as tasks on the pool, while this thread waits on them. glibc
     gives each thread that allocates its own malloc arena, and one arena
     cannot reuse what another freed, so a server step on this thread
     would keep a second arena's worth of freed client and evaluation
-    buffers resident. On the pool, at workers=1 every array of a round
-    comes from one arena: the `wide_input` benchmark workload peaks at
-    about 150 MB instead of 164 MB, with the same outputs.
+    buffers resident. On the pool, at workers=1 every array of the run
+    comes from one arena: moving the server step there took the
+    `wide_input` benchmark workload's peak from 164 MB to 150 MB, with the
+    same outputs.
     """
     ds = data.data
-    server = ServerState(init_er_topology(plan.dims, config.sparsity, config.seed),
-                         plan.removal, np.zeros(ds.d, dtype=bool))
     recorder = MetricsRecorder((ds.X, ds.y), data.test, plan)
     metrics: list[RoundMetrics] = []
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=config.workers or min(config.clients, cpus)) as pool:
+        server = ServerState(
+            pool.submit(init_er_topology, plan.dims, config.sparsity, config.seed).result(),
+            plan.removal, np.zeros(ds.d, dtype=bool))
         for r, (counts, selected, coeffs) in enumerate(
                 zip(plan.removal.counts, plan.clients, plan.coeffs), start=1):
             broadcast = server.global_model
@@ -461,5 +484,6 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
                      r, config.rounds, rm.test_accuracy,
                      rm.connected_input_neurons, rm.global_nnz)
 
-    selection: SelectionResult = select_features(server.global_model, plan.k)
+        selection: SelectionResult = pool.submit(
+            select_features, server.global_model, plan.k).result()
     return server, metrics, selection

@@ -325,18 +325,24 @@ class TestWriteOutputs:
 
 # TINY removes ceil(0.8 * 12 - K) of its 12 inputs. Layer 0 holds 40
 # connections of 8 units, and an update churns floor(0.2 * 40) = 8 of them:
-# K=4 leaves 6 x 8 - 40 = 8 free positions, K=3 leaves 5 x 8 - 40 = 0
-# figure1 plans each of its runs once, before any trains, and logs the
-# warning once (None: it cannot run this config)
-@pytest.mark.parametrize("edit, flagged, figure1_logs", [
-    (("k_features: 4", "k_features: 3"), True, 1),
-    (("k_features: 4", "k_features: 4"), False, 0),
+# K=4 leaves 6 x 8 - 40 = 8 free positions, K=3 leaves 5 x 8 - 40 = 0.
+# Only an epoch before a client's last regrows, so with TINY's one local
+# epoch nothing can fall short. figure1 plans each of its runs once, before
+# any trains, and logs the warning once (None: it cannot run this config)
+@pytest.mark.parametrize("edits, flagged, figure1_logs", [
+    ([("k_features: 4", "k_features: 3"), ("local_epochs: 1", "local_epochs: 2")], True, 1),
+    ([("k_features: 4", "k_features: 3")], False, 0),
+    ([], False, 0),
     # plain DST caps its churn at the free positions: a dense layer 0 has
     # none. figure1's selection run of this config is rejected
-    (("sparsity: 0.5", "sparsity: 0.0\nfeature_selection: false"), False, None),
-], ids=["K=3", "K=4", "dense_plain_dst"])
-def test_layer0_churn_warning_at_plan_time(tmp_path, caplog, edit, flagged, figure1_logs):
-    p = write_cfg(tmp_path, TINY.replace(*edit))
+    ([("sparsity: 0.5", "sparsity: 0.0\nfeature_selection: false")], False, None),
+], ids=["K=3", "K=3,Q=1", "K=4", "dense_plain_dst"])
+def test_layer0_churn_warning_at_plan_time(tmp_path, caplog, edits, flagged, figure1_logs):
+    text = TINY
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    p = write_cfg(tmp_path, text)
     warning = ("layer 0 has 0 free positions (5 inputs left x 8 units - 40 connections), "
                "fewer than the 8 connections one update churns; its regrowth can fall short")
     commands = [(["inspect"], 1), (["run", "--out", str(tmp_path / "run")], 1)]

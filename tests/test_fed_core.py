@@ -291,14 +291,50 @@ class TestLocalTrain:
             assert np.array_equal(lo.weights, ln.weights)
             assert np.array_equal(lo.mask, ln.mask)
 
-    def test_returned_nnz_matches_received(self):
+    def train_counting_prunes(self, monkeypatch, parts, net, plan, r, config):
+        """(the client network, per layer the connections its last epoch pruned).
+
+        Every epoch before the last must end its regrowth on the targets.
+        """
+        pruned = []        # the pruned (layer, row, col) triples of each prune call
+        nnz_at_remap = []  # layer_nnz when the momentum moves, after a regrowth
+        real_input, real_hidden, real_remap = (
+            fed_core.prune_input, fed_core.magnitude_prune_hidden, fed_core.mask_velocity)
+
+        def prune_input(*args):
+            update = real_input(*args)
+            pruned.append(update.delta.pruned)
+            return update
+
+        def prune_hidden(*args):
+            delta = real_hidden(*args)
+            pruned.append(delta.pruned)
+            return delta
+
+        def remap(net, velocity):
+            nnz_at_remap.append(net.layer_nnz())
+            return real_remap(net, velocity)
+
+        monkeypatch.setattr(fed_core, "prune_input", prune_input)
+        monkeypatch.setattr(fed_core, "magnitude_prune_hidden", prune_hidden)
+        monkeypatch.setattr(fed_core, "mask_velocity", remap)
+        out = self.train(parts, net, plan, r, config)
+        assert len(pruned) == 2 * config.local_epochs
+        assert nnz_at_remap == [net.nnz_targets] * (config.local_epochs - 1)
+        last = np.concatenate(pruned[-2:])
+        return out, np.bincount(last[:, 0], minlength=len(net.layers)).tolist()
+
+    def test_returned_nnz_is_target_minus_last_prune(self, monkeypatch):
+        # the last epoch stops at its prunes; the positions a regrowth
+        # would add back hold weight 0 either way
         parts = tiny_partition()
         config = self.cfg()
         net, plan = self.setup_one(config, parts)
         for r in range(1, 4):
-            out = self.train(parts, net, plan, r, config)
-            assert out.nnz() == net.nnz()
-            assert out.layer_nnz() == net.nnz_targets
+            out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, r,
+                                                          config)
+            assert all(last_pruned)
+            assert out.layer_nnz() == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
     def test_broadcast_model_not_mutated(self):
         parts = tiny_partition()
@@ -323,12 +359,41 @@ class TestLocalTrain:
             shared = lo.mask & ln.mask
             assert np.max(np.abs((lo.weights - ln.weights)[shared])) < 1e-3
 
-    def test_full_batch_fallback(self):
+    @pytest.mark.parametrize("selection", [True, False])
+    @pytest.mark.parametrize("local_epochs", [1, 2, 3])
+    def test_last_epoch_makes_no_gradient_and_regrows_nothing(self, monkeypatch, selection,
+                                                              local_epochs):
+        # every epoch but the last re-evaluates the gradient once after its
+        # steps and regrows from it; the last ends at its prunes
+        parts = tiny_partition(n_per_shard=10)
+        config = self.cfg(local_epochs=local_epochs, batch_size=4,
+                          feature_selection=selection)
+        net, plan = self.setup_one(config, parts)
+        calls = dict.fromkeys(["forward", "backward", "regrow_input",
+                               "regrow_layer_by_gradient", "gradient_regrow_hidden"], 0)
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(fed_core, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(fed_core, name, spy)
+        self.train(parts, net, plan, 1, config)
+        steps = local_epochs * math.ceil(10 / 4)
+        regrows = local_epochs - 1
+        assert calls == {
+            "forward": steps + regrows,
+            "backward": steps + regrows,
+            "regrow_input": regrows if selection else 0,
+            "regrow_layer_by_gradient": 0 if selection else regrows,
+            "gradient_regrow_hidden": regrows,
+        }
+
+    def test_full_batch_fallback(self, monkeypatch):
         parts = tiny_partition(n_per_shard=3)
         config = self.cfg(batch_size=64)
         net, plan = self.setup_one(config, parts)
-        out = self.train(parts, net, plan, 1, config)
-        assert out.nnz() == net.nnz()
+        out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, 1, config)
+        assert all(last_pruned)
+        assert out.layer_nnz() == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
 
 class TestRunTraining:

@@ -5,9 +5,10 @@ path's peak is measured in bytes against the matrix it builds. During
 training, clients and the evaluator must gather from the one normalized
 matrix, each client network must be folded and dropped before its pool
 thread trains another, and a round's client networks must be gone before
-the next round trains. The server step must run on the pool, where the
-clients allocate, and a client's last topology update must not hold its
-SGD state or forward cache.
+the next round trains. The initial topology, the server step and the
+final selection must run on the pool, where the clients allocate, a
+client's last topology update must not hold its SGD state or forward
+cache, and no step's gradients may outlive it.
 """
 
 import threading
@@ -198,15 +199,37 @@ def test_server_step_runs_on_the_pool(monkeypatch, workers):
         return spy
 
     monkeypatch.setattr(fed_core, "local_train", on_thread("client", fed_core.local_train))
-    monkeypatch.setattr(fed_core, "resparsify_and_reconcile",
-                        on_thread("server", fed_core.resparsify_and_reconcile))
+    for name in ("init_er_topology", "resparsify_and_reconcile", "select_features"):
+        monkeypatch.setattr(fed_core, name, on_thread("server", getattr(fed_core, name)))
     monkeypatch.setattr(metrics.MetricsRecorder, "record_round",
                         on_thread("server", metrics.MetricsRecorder.record_round))
     plan_and_train(cfg(workers=workers), parts)
-    assert len(threads["client"]) == 3 * 3 and len(threads["server"]) == 2 * 3
+    # the initial topology, two calls a round and the final selection
+    assert len(threads["client"]) == 3 * 3 and len(threads["server"]) == 1 + 2 * 3 + 1
     assert threading.get_ident() not in threads["server"]
     if workers == 1:
         assert set(threads["server"]) == set(threads["client"])
+
+
+@pytest.mark.parametrize("local_epochs", [1, 3])
+def test_step_gradients_die_before_the_next_backward(monkeypatch, local_epochs):
+    # a layer's dense weight gradient is as large as the layer; the one a
+    # step or a topology update read must be gone when the next is made
+    parts = tiny_partition(m=3)
+    made = []              # weakref to every Gradients backward returned
+    alive = []             # Gradients still alive when backward is called
+    real = fed_core.backward
+
+    def backward(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        grads = real(*args)
+        made.append(weakref.ref(grads))
+        return grads
+
+    monkeypatch.setattr(fed_core, "backward", backward)
+    plan_and_train(cfg(workers=1, local_epochs=local_epochs), parts)
+    assert len(made) > 3 * 3 * local_epochs
+    assert alive == [0] * len(made)
 
 
 def test_last_topology_update_holds_no_sgd_state_or_cache(monkeypatch):
@@ -215,9 +238,9 @@ def test_last_topology_update_holds_no_sgd_state_or_cache(monkeypatch):
     parts = tiny_partition(m=3)
     config = cfg(workers=1, local_epochs=3)
     last = {}              # "state" / "cache" -> weakref to the latest one
-    alive = []             # (epoch, state alive, cache alive) at each regrow_input
-    real_step, real_forward, real_regrow = (
-        fed_core.sgd_step, fed_core.forward, fed_core.regrow_input)
+    alive = []             # (epoch, state alive, cache alive) at each prune_input
+    real_step, real_forward, real_prune = (
+        fed_core.sgd_step, fed_core.forward, fed_core.prune_input)
 
     def step(*args):
         state = real_step(*args)
@@ -229,14 +252,14 @@ def test_last_topology_update_holds_no_sgd_state_or_cache(monkeypatch):
         last["cache"] = weakref.ref(cache)
         return out, cache
 
-    def regrow(*args):
+    def prune(*args):
         alive.append((len(alive) % config.local_epochs + 1,
                       last["state"]() is not None, last["cache"]() is not None))
-        return real_regrow(*args)
+        return real_prune(*args)
 
     monkeypatch.setattr(fed_core, "sgd_step", step)
     monkeypatch.setattr(fed_core, "forward", forward)
-    monkeypatch.setattr(fed_core, "regrow_input", regrow)
+    monkeypatch.setattr(fed_core, "prune_input", prune)
     plan_and_train(config, parts)
     assert len(alive) == 3 * 3 * config.local_epochs
     # earlier epochs still move the momentum onto the new masks

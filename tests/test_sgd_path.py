@@ -8,8 +8,10 @@ hyperparameters and multi-step runs with topology churn between steps,
 weights, biases, gradients and the live momentum must equal those of the
 original dense code (tests/reference_sgd.py) in every byte, so +0.0 and
 -0.0 count as different. So must a whole `local_train`, which skips the
-momentum remap after its last epoch, and steps taken after the weights or
-the FedProx anchor changed behind the cached copies.
+momentum remap and the regrowth after its last epoch (its mask then lacks
+the positions the reference regrew last, all at weight +0.0), and steps
+taken after the weights or the FedProx anchor changed behind the cached
+copies.
 """
 
 import numpy as np
@@ -195,9 +197,14 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
     out = local_train(X, y, rows, broadcast, counts, 1, config, removed)
     expected = reference_local_train(X, y, rows, broadcast, counts, 1, config, removed)
     for layer, ref_layer in zip(out.layers, expected.layers):
-        assert np.array_equal(layer.mask, ref_layer.mask)
         assert same_bytes(layer.weights, ref_layer.weights)
         assert same_bytes(layer.bias, ref_layer.bias)
+        # local_train stops at the last epoch's prunes: its mask lacks the
+        # positions the reference regrew last, each at weight +0.0 there
+        assert not np.any(layer.mask & ~ref_layer.mask)
+        regrown = np.flatnonzero(ref_layer.mask & ~layer.mask)
+        assert len(regrown) > 0
+        assert same_bytes(np.take(ref_layer.weights, regrown), np.zeros(len(regrown)))
     # the topology moved, so a skipped or wrong remap would show
     assert not np.array_equal(out.layers[0].mask, broadcast.layers[0].mask)
     out.validate()
