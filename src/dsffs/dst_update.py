@@ -187,9 +187,9 @@ def churn_count(net: SparseNetwork, l: int, fraction: float,
     a boolean `rows` mask, only those rows count as room to regrow. The
     cap leaves the paired regrowth enough candidate positions only when
     the rows can hold the target at all: when they cannot (layer 0 once
-    the removal schedule has left too few inputs, as in the `wide_input`
-    benchmark), the count is zero and `regrow_layer_by_gradient` can come
-    up short and warn.
+    the removal schedule has left too few inputs, under selection with
+    Q >= 2, as in the `k_features: 3` desk run of `test_golden.py`), the
+    count is zero and `regrow_layer_by_gradient` can come up short and warn.
     """
     layer = net.layers[l]
     n_rows = layer.rows if rows is None else int(np.count_nonzero(rows))

@@ -368,6 +368,11 @@ class TestCmdRun:
         assert len(manifest["selected_features"]) == 4
         assert manifest["seed"] == 11
         assert os.path.exists(os.path.join(out, "config.resolved"))
+        # inspect prints the costs the run records in its last round
+        flops, bits = lines[-1].split(",")[2:4]
+        assert main(["inspect", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"planned costs: {flops} FLOPs, {bits} upload bits")
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path)
