@@ -254,16 +254,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_figure1(args) -> int:
-    """Noisy-feature study: clean vs noisy baselines, then selection enabled.
+def figure1_study(cfg: ExperimentConfig):
+    """The noisy-feature study on cfg's synthetic draw; returns (informative, runs).
 
-    Trains three configurations on one synthetic draw: (1) informative
-    columns only, no feature selection; (2) all columns, no feature
-    selection; (3) all columns with feature selection on. Emits the three
-    accuracy curves and how much of the ground truth the selection
-    recovered.
+    Trains three configurations on one draw: (1) informative columns only,
+    no feature selection; (2) all columns, no feature selection; (3) all
+    columns with feature selection on. `informative` holds the ground-truth
+    column indices and `runs` the three `run_training` results, in that
+    order. Every run is planned before any trains, so a config error
+    raises first.
     """
-    cfg = load_config(args.config, {"out_dir": args.out})
     if cfg.dataset != "synthetic":
         raise ConfigError("the figure1 study requires a synthetic dataset config")
     ds = build_dataset(cfg)
@@ -281,13 +281,23 @@ def cmd_figure1(args) -> int:
                 (informative_only, False, "informative features only (no selection)"),
                 (noisy, False, "noisy features (no selection)"),
                 (noisy, True, "noisy features with selection")]]
-    # every run is planned before any trains, so a config error exits first
     plans = [plan_run(sub, parts) for sub, parts, _ in runs]
     results = []
     for (sub, parts, what), plan in zip(runs, plans):
         log.info("figure1: training on %s", what)
         results.append(run_training(sub, parts, plan))
-    (_, m_orig, _), (_, m_noisy, _), (_, m_fs, selection) = results
+    return informative, results
+
+
+def cmd_figure1(args) -> int:
+    """Write the three accuracy curves and the recovery report of `figure1_study`.
+
+    Acceptance criterion 6 (tests/test_acceptance.py) gates this study
+    itself, on the shipped desk config at seeds 1-5.
+    """
+    cfg = load_config(args.config, {"out_dir": args.out})
+    informative, runs = figure1_study(cfg)
+    (_, m_orig, _), (_, m_noisy, _), (_, m_fs, selection) = runs
 
     recovered = sorted(set(selection.indices) & set(informative))
     report = {

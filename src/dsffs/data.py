@@ -166,8 +166,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     if n_labels != n_images:
         raise DataFormatError(f"{labels_path}: {n_labels} labels for {n_images} images")
     X = pixels.reshape(n_images, n_rows * n_cols).astype(float)
-    _, y = np.unique(labels, return_inverse=True)
-    return Dataset(X, y.astype(np.int64), name=str(images_path))
+    return Dataset(X, _dense_labels(labels.tolist()), name=str(images_path))
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -442,28 +441,27 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
             removed = server.global_removed
             sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
                     for layer in broadcast.layers]
-            folded = [threading.Event() for _ in selected]
 
             # a diverging run overflows on its way to the non-finite weights
             # that the check below reports, with the round; np.errstate is
             # per thread, so each pool thread sets its own. Tasks start in
             # id order, so the client before this one is running or done
-            # and the wait ends; a client that raises still releases the
-            # next, and pool.map raises its error.
-            def train_one(i: int) -> float:
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        net = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
-                                          counts, r, config, removed)
-                        drift = _shared_mask_drift(net, broadcast)
-                        if i:
-                            folded[i - 1].wait()
-                        aggregate(sums, coeffs[i], net)
-                    return drift
-                finally:
-                    folded[i].set()
+            # and its result() returns; a client that raises passes its
+            # error down the chain, and the first result() below raises it.
+            def train_one(i: int, before) -> float:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    net = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
+                                      counts, r, config, removed)
+                    drift = _shared_mask_drift(net, broadcast)
+                    if before is not None:
+                        before.result()
+                    aggregate(sums, coeffs[i], net)
+                return drift
 
-            drifts = list(pool.map(train_one, range(len(selected))))
+            tasks = []
+            for i in range(len(selected)):
+                tasks.append(pool.submit(train_one, i, tasks[i - 1] if i else None))
+            drifts = [t.result() for t in tasks]
 
             def server_step() -> RoundMetrics:
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -1,9 +1,28 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dsffs.fed_core import aggregate
 from dsffs.sparse_net import SparseLayer, SparseNetwork, forward
 from reference_sgd import softmax_cross_entropy
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child process that runs this checkout's code.
+
+    It is this process's environment with the BLAS thread pools pinned to
+    one thread, since how the matmuls split their work moves the last
+    digits of the reported strengths, and with `src` first on PYTHONPATH.
+    """
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
+    return env
 
 
 def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwork:

@@ -4,8 +4,15 @@ Each test checks one release criterion at its stated tolerance and prints
 one PASS/FAIL line (run with -s to stream them). The COIL-20 benchmark
 needs the dataset file on disk and is skipped, with instructions, when it
 is absent.
+
+Criterion 6 gates the study `dsffs figure1` runs (`cli.figure1_study`),
+on the shipped desk config (configs/synthetic_noisy.yaml) at seeds 1-5,
+not a copy of it. Criterion 9's mu=0 runs are that study's selection runs
+at seeds 1-3, trained once for both criteria; it trains only its mu=1
+runs.
 """
 
+import functools
 import json
 import math
 import os
@@ -15,14 +22,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsffs.cli import ExperimentConfig, main, prepare
+from dsffs.cli import ExperimentConfig, figure1_study, load_config, main, prepare
 from dsffs.data import Dataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import FedConfig, plan_run, run_training
 from dsffs.input_selector import removal_plan
 from dsffs.metrics import inference_flops, upload_cost_bits
 from dsffs.sparse_net import backward, forward, init_er_topology
 
-from conftest import build_net, fd_weight_gradients, fold, max_rel_err
+from conftest import REPO, build_net, fd_weight_gradients, fold, max_rel_err
+
+DESK_CONFIG = REPO / "configs" / "synthetic_noisy.yaml"
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -30,14 +39,20 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def crit6_config(seed: int, fs: bool, k: int = 30) -> ExperimentConfig:
-    """The synthetic noisy-feature setup shared by criteria 6 and 9."""
-    return ExperimentConfig(
-        n_informative=20, n_noise=480, n_samples=2000, n_classes=2,
-        separation=1.0, hidden_dims=[100, 50], clients=4, rounds=60,
-        local_epochs=2, k_features=k, dirichlet_alpha=0.5, lr=0.02,
-        batch_size=32, seed=seed, feature_selection=fs,
-    )
+@functools.cache
+def noisy_feature_study(seed: int) -> tuple[float, float, float]:
+    """`dsffs figure1`'s study of the desk config at `seed`: (gap, recovery, drift).
+
+    The gap is the informative-only run's final accuracy minus the noisy
+    run's, recovery the share of informative features that the selection
+    run keeps, and drift the selection run's mean per-round client drift.
+    That run is criterion 9's mu=0 run, so criteria 6 and 9 share it.
+    """
+    cfg = load_config(str(DESK_CONFIG), {"seed": seed})
+    informative, ((_, m_orig, _), (_, m_noisy, _), (_, m_fs, sel)) = figure1_study(cfg)
+    gap = m_orig[-1].test_accuracy - m_noisy[-1].test_accuracy
+    recovery = len(set(sel.indices) & set(informative)) / len(informative)
+    return gap, recovery, float(np.mean([m.client_drift for m in m_fs]))
 
 
 def run_cfg(cfg: ExperimentConfig, parts):
@@ -165,18 +180,7 @@ def test_criterion_6_noisy_feature_study():
     gap_hits = rec_hits = 0
     rows = []
     for seed in range(1, 6):
-        ds = generate_synthetic(20, 480, 2000, 2, seed=seed, separation=1.0)
-        informative = set(ds.meta["informative_idx"])
-        original = Dataset(np.take(ds.X, sorted(informative), axis=1), ds.y.copy(),
-                           meta=dict(ds.meta))
-        _, m_orig, _ = run_cfg(crit6_config(seed, fs=False),
-                               prepare(crit6_config(seed, fs=False), original))
-        # prepare normalizes ds in place: both noisy runs train on one partition
-        noisy = prepare(crit6_config(seed, fs=False), ds)
-        _, m_noisy, _ = run_cfg(crit6_config(seed, fs=False), noisy)
-        _, _, sel = run_cfg(crit6_config(seed, fs=True), noisy)
-        gap = m_orig[-1].test_accuracy - m_noisy[-1].test_accuracy
-        recovery = len(set(sel.indices) & informative) / len(informative)
+        gap, recovery, _ = noisy_feature_study(seed)
         gap_hits += gap >= 0.05
         rec_hits += recovery >= 0.70
         rows.append(f"seed {seed}: gap {gap:+.3f}, recovery {recovery:.2f}")
@@ -286,13 +290,11 @@ def test_criterion_9_fedprox_reduces_drift():
     start = time.time()
     drifts = {0.0: [], 1.0: []}
     for seed in (1, 2, 3):
-        ds = generate_synthetic(20, 480, 2000, 2, seed=seed, separation=1.0)
-        parts = prepare(crit6_config(seed, fs=True), ds)
-        for mu in (0.0, 1.0):
-            cfg = crit6_config(seed, fs=True)
-            cfg.mu = mu
-            _, metrics, _ = run_training(cfg, parts, plan_run(cfg, parts))
-            drifts[mu].append(float(np.mean([m.client_drift for m in metrics])))
+        drifts[0.0].append(noisy_feature_study(seed)[2])
+        cfg = load_config(str(DESK_CONFIG), {"seed": seed, "mu": 1.0})
+        parts = prepare(cfg)
+        _, metrics, _ = run_training(cfg, parts, plan_run(cfg, parts))
+        drifts[1.0].append(float(np.mean([m.client_drift for m in metrics])))
     med0 = float(np.median(drifts[0.0]))
     med1 = float(np.median(drifts[1.0]))
     elapsed = time.time() - start

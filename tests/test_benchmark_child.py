@@ -10,14 +10,12 @@ child's schedule check expects T removals with it on and none with it off
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, child_env
 
 TINY = {
     "dataset": "synthetic", "n_informative": 5, "n_noise": 45, "n_samples": 200,
@@ -31,10 +29,7 @@ def test_traced_child_run_reports_no_problems(tmp_path, feature_selection):
     config = dict(TINY, feature_selection=feature_selection)
     # JSON is flow-style YAML, which is what load_config parses
     (tmp_path / "config.yaml").write_text(json.dumps(config) + "\n", encoding="utf-8")
-    env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
+    env = dict(child_env(), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, str(REPO / "roundbench" / "child.py"),
          "--config", "config.yaml", "--trace", "1"],

@@ -25,7 +25,7 @@ from dsffs.cli import (
 )
 from dsffs.sparse_net import ConfigError
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO
 CONFIGS = sorted((REPO / "configs").glob("*.yaml"))
 _spec = importlib.util.spec_from_file_location("workloads", REPO / "roundbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)

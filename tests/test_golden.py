@@ -22,12 +22,10 @@ computes.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, child_env
 
 # a synthetic study small enough to run three trainings in about a second;
 # JSON is flow-style YAML, which is what load_config parses
@@ -66,13 +64,10 @@ def run_figure1(tmp_path, **keys):
 def run_cli(tmp_path, config_text, args, outputs):
     """Run `dsffs.cli` `args` on a config in a child process; hash its `outputs`."""
     (tmp_path / "config.yaml").write_text(config_text, encoding="utf-8")
-    env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
     # a relative --out keeps the echoed out_dir, and so the manifest, stable
     proc = subprocess.run(
         [sys.executable, "-m", "dsffs.cli", *args, "--config", "config.yaml", "--out", "out"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
