@@ -9,6 +9,13 @@ The package root exports the library entry points (`generate_synthetic`,
 types their signatures expose; everything else lives in the submodules.
 """
 
+import os
+
+# output bytes depend on the BLAS thread count, and the clients are the
+# parallelism: one BLAS thread each, unless the caller set a count first
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
 from .fed_core import FedConfig, RunPlan, ServerState, plan_run, run_training
 from .input_selector import SelectionResult

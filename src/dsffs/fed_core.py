@@ -2,12 +2,12 @@
 
 One round: broadcast the global sparse model, let each selected client run
 Q local epochs (minibatch SGD plus per-epoch input-layer and hidden-layer
-topology updates), average the returned weights and biases by sample
-count (a position a client masked off counts as zero), then bring the input
-layer to the shared neuron-removal schedule and each layer to its fixed
-connection budget: its previous global mask minus removed rows, refilled
-from the strongest averaged positions, with up to `adjust_rate` x target
-connections swapped for stronger ones every `adjust_every` rounds.
+topology updates) and send its live weights and biases, average those by
+sample count (a position a client did not send counts as zero), then bring
+the input layer to the shared neuron-removal schedule and each layer to
+its fixed connection budget: its previous global mask minus removed rows,
+refilled from the strongest averaged positions, with up to `adjust_rate` x
+target connections swapped for stronger ones every `adjust_every` rounds.
 Communication is an accounting event, not a wire transfer.
 """
 
@@ -128,10 +128,23 @@ class ServerState:
     global_removed: np.ndarray
 
 
+@dataclass(frozen=True)
+class ClientUpdate:
+    """What a client sends: per layer, its sorted flat live index, the weights there, its bias."""
+
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, net: SparseNetwork) -> ClientUpdate:
+        live = [np.flatnonzero(layer.mask) for layer in net.layers]
+        return cls(tuple((idx, np.take(layer.weights, idx), layer.bias)
+                         for idx, layer in zip(live, net.layers)))
+
+
 def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: SparseNetwork,
                 counts: ScheduleCounts, r: int, config: FedConfig,
-                global_removed: np.ndarray) -> SparseNetwork:
-    """Train one client on its shard for Q epochs from the broadcast model.
+                global_removed: np.ndarray) -> ClientUpdate:
+    """Train one client on its shard for Q epochs from the broadcast model; return its upload.
 
     X and y are the whole dataset and `rows` the client's shard index;
     each minibatch gathers its rows of X through `rows`, so no shard is
@@ -145,14 +158,9 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
     later epochs apply steady-state churn (equal prune/regrow, no net
     removal).
 
-    The last epoch stops at its prunes: no re-evaluation and no regrowth.
-    Regrowth only sets mask bits at weight +0.0, where an inactive
-    position already holds +0.0, so the returned weights and biases are
-    the same bytes either way, and they are all that `aggregate` and
-    `resparsify_and_reconcile` read. The returned mask is therefore each
-    layer's target minus the last epoch's prune, not the target. Only
-    `_shared_mask_drift` reads it, so the round's client drift leaves out
-    the positions the regrowth would have re-added.
+    The last epoch stops at its prunes: no re-evaluation and no regrowth,
+    which would only set positions at weight +0.0. The client sends what
+    is then live, and its network copy dies here.
     """
     net = global_net.copy()
     removed = global_removed.copy()
@@ -200,7 +208,7 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
         if config.zeta > 0.0:
             delta = magnitude_prune_hidden(net, config.zeta)
         if last:
-            return net
+            break
 
         if config.feature_selection:
             regrow_input(net, removed, epoch_counts, grads.weights[0], update)
@@ -210,23 +218,23 @@ def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: Spar
             gradient_regrow_hidden(net, grads.weights, delta)
         del grads
         mask_velocity(net, velocity)
-    return net
+    return ClientUpdate.of(net)
 
 
 def aggregate(sums: list[tuple[np.ndarray, np.ndarray]], coeff: float,
-              net: SparseNetwork) -> None:
-    """Fold one client into the round's sample-count-weighted average.
+              update: ClientUpdate) -> None:
+    """Fold one client's update into the round's sample-count-weighted average.
 
     `sums` holds one (weights, bias) pair per layer, zeroed before the
     round's first client, and `coeff` is this client's n_m / total. A
-    position the client masked off holds weight 0 there, so it counts as
-    zero in the average. Folding the clients in id order fixes the order
-    of every float sum. No mask is formed: resparsify_and_reconcile decides
-    the next global mask from the sums and the previous global mask.
+    position the client did not send counts as zero: a sum that starts at
+    +0.0 never holds -0.0, so adding +0.0 would change no byte. Folding the
+    clients in id order fixes the order of every float sum. No mask is
+    formed: resparsify_and_reconcile decides the next global mask.
     """
-    for (w, b), layer in zip(sums, net.layers):
-        w += coeff * layer.weights
-        b += coeff * layer.bias
+    for (w, b), (idx, values, bias) in zip(sums, update.layers):
+        w.reshape(-1, copy=False)[idx] += coeff * values   # a view, never a copy
+        b += coeff * bias
 
 
 def _keep_topk(weights: np.ndarray, kept: np.ndarray, target: int, allowed_rows: np.ndarray,
@@ -315,14 +323,14 @@ def resparsify_and_reconcile(server: ServerState,
     return SparseNetwork(layers, prev.sparsity, prev.layer_densities, prev.nnz_targets)
 
 
-def _shared_mask_drift(client_net: SparseNetwork, global_net: SparseNetwork) -> float:
-    """L2 distance between client and broadcast weights at jointly live positions."""
+def _shared_mask_drift(update: ClientUpdate, global_net: SparseNetwork) -> float:
+    """L2 distance between sent and broadcast weights at positions live in both."""
     total = 0.0
-    for lc, lg in zip(client_net.layers, global_net.layers):
-        # a flat gather of the jointly live positions, in the order a
-        # boolean index would give them
-        both = np.flatnonzero(lc.mask & lg.mask)
-        diff = np.take(lc.weights, both) - np.take(lg.weights, both)
+    for (idx, values, _), lg in zip(update.layers, global_net.layers):
+        # the sent positions the broadcast holds, ascending as a boolean
+        # index over both masks would give them
+        both = np.take(lg.mask, idx)
+        diff = values[both] - np.take(lg.weights, idx[both])
         total += float((diff * diff).sum())
     return math.sqrt(total)
 
@@ -411,8 +419,9 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
     What stays resident is the one normalized matrix in `data`, which
     every client indexes through its shard and the evaluator through the
     test index, plus the global model and the round's (weights, bias)
-    sums. A client network lives from its training until its fold, so at
-    most config.workers of them are alive at once.
+    sums. A client's network copy lives only while it trains, so at most
+    config.workers of them are alive at once; a finished client holds its
+    update, its live values and biases, until its fold.
 
     The initial topology, each round's server step (resparsify, the
     non-finite check, the evaluation) and the final feature selection
@@ -448,14 +457,17 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
             # id order, so the client before this one is running or done
             # and its result() returns; a client that raises passes its
             # error down the chain, and the first result() below raises it.
+            # A client whose predecessor has already failed raises untrained.
             def train_one(i: int, before) -> float:
+                if before is not None and before.done():
+                    before.result()
                 with np.errstate(over="ignore", invalid="ignore"):
-                    net = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
-                                      counts, r, config, removed)
-                    drift = _shared_mask_drift(net, broadcast)
+                    update = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
+                                         counts, r, config, removed)
+                    drift = _shared_mask_drift(update, broadcast)
                     if before is not None:
                         before.result()
-                    aggregate(sums, coeffs[i], net)
+                    aggregate(sums, coeffs[i], update)
                 return drift
 
             tasks = []

@@ -5,8 +5,8 @@ FLOPs, a training pass costs 3x an inference pass (forward plus roughly
 twice that for the backward), and a transmitted sparse model costs
 (32 * (1 - S) + 1) * n bits: 32-bit values for the live weights plus one
 mask bit per maskable position. The live weights charged are the layer
-targets, together (1 - S) of the positions, not what a client's mask
-holds: a client returns each layer's target less its last prune.
+targets, together (1 - S) of the positions, not a count of the fewer
+live weights a client sends (`fed_core.ClientUpdate`).
 Topology-update overhead (strength sums, sorting, the extra gradient
 evaluation) is excluded from FLOPs. The costs are fixed before round 1:
 `fed_core.plan_run` applies these conventions.
@@ -34,8 +34,8 @@ class RoundMetrics:
     cumulative_upload_bits: int
     connected_input_neurons: int
     layer_nnz: list[int]      # per-layer connection count of the global model
-    # mean L2 distance of client weights from the broadcast, at positions
-    # live in both the broadcast and the client's mask after its last prune
+    # mean L2 distance of the clients' sent weights from the broadcast, at
+    # the sent positions the broadcast holds live
     client_drift: float
 
     @property

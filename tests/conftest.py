@@ -1,10 +1,15 @@
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# before numpy loads its BLAS: in-process tests compute with one BLAS
+# thread, as the package pins for a run and as the child processes inherit
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from dsffs.fed_core import aggregate
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dsffs.fed_core import ClientUpdate, aggregate  # noqa: E402
 from dsffs.sparse_net import SparseLayer, SparseNetwork, forward
 from reference_sgd import softmax_cross_entropy
 
@@ -15,13 +20,13 @@ REPO = Path(__file__).resolve().parent.parent
 def child_env() -> dict[str, str]:
     """The environment for a child process that runs this checkout's code.
 
-    It is this process's environment with the BLAS thread pools pinned to
-    one thread, since how the matmuls split their work moves the last
-    digits of the reported strengths, and with `src` first on PYTHONPATH.
+    It is this process's environment, with `src` first on PYTHONPATH. The
+    package pins the BLAS thread pools to one thread unless the environment
+    sets them, since how the matmuls split their work moves the last digits
+    of the reported strengths.
     """
     env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")]))
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
     return env
 
 
@@ -42,13 +47,13 @@ def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwo
 
 
 def fold(clients) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fold (n_m, net) pairs into zeroed sums in list order, as a round does."""
+    """Fold the updates of (n_m, net) pairs into zeroed sums in list order, as a round does."""
     clients = list(clients)
     total = float(sum(n for n, _ in clients))
     sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
             for layer in clients[0][1].layers]
     for n_m, net in clients:
-        aggregate(sums, n_m / total, net)
+        aggregate(sums, n_m / total, ClientUpdate.of(net))
     return sums
 
 

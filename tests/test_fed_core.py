@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dsffs import fed_core
 from dsffs.data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import (
+    ClientUpdate,
     FedConfig,
     ServerState,
     _shared_mask_drift,
@@ -91,6 +92,41 @@ class TestAggregate:
         b = fold([(3, nets[2]), (1, nets[0]), (2, nets[1])])
         assert np.allclose(a[0][0], b[0][0], atol=1e-12)
 
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_fold_matches_the_dense_sum_byte_for_byte(self, n_clients, data):
+        # live weights include exactly -0.0 and +0.0: whatever a client
+        # sends, the sums are the dense sample-weighted sums, bit for bit
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                                    min_size=1, max_size=3))
+        weight = st.one_of(st.sampled_from([-0.0, 0.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+        clients = []
+        for _ in range(n_clients):
+            mats, masks, biases = [], [], []
+            for r, c in shapes:
+                mats.append(data.draw(st.lists(st.lists(weight, min_size=c, max_size=c),
+                                               min_size=r, max_size=r)))
+                masks.append(data.draw(st.lists(st.lists(st.booleans(), min_size=c,
+                                                         max_size=c), min_size=r, max_size=r)))
+                biases.append(data.draw(st.lists(weight, min_size=c, max_size=c)))
+            net = build_net(mats, masks=masks, biases=biases)
+            for layer in net.layers:
+                # build_net's w * mask leaves -0.0 off the mask where the
+                # drawn value was negative; a network holds +0.0 there
+                layer.weights[~layer.mask] = 0.0
+            clients.append((data.draw(st.integers(1, 500)), net))
+        out = fold(clients)
+        total = float(sum(n for n, _ in clients))
+        for l, (w, b) in enumerate(out):
+            ref_w, ref_b = np.zeros_like(w), np.zeros_like(b)
+            for n_m, net in clients:
+                ref_w += n_m / total * net.layers[l].weights
+                ref_b += n_m / total * net.layers[l].bias
+            assert w.tobytes() == ref_w.tobytes()
+            assert b.tobytes() == ref_b.tobytes()
+
     def test_empty_rejected(self):
         # every round folds at least one client: a round of none is
         # rejected before round 1
@@ -119,7 +155,7 @@ class TestSharedMaskDrift:
                              masks=[rng.random(s) < 0.4 for s in shapes])
 
         client, broadcast = net(), net()
-        got = _shared_mask_drift(client, broadcast)
+        got = _shared_mask_drift(ClientUpdate.of(client), broadcast)
         assert got > 0.0
         assert got.hex() == self.boolean_index_drift(client, broadcast).hex()
 
@@ -128,7 +164,7 @@ class TestSharedMaskDrift:
         mask = rng.random((9, 4)) < 0.5
         client = build_net([rng.normal(size=(9, 4))], masks=[mask])
         broadcast = build_net([rng.normal(size=(9, 4))], masks=[~mask])
-        assert _shared_mask_drift(client, broadcast) == 0.0
+        assert _shared_mask_drift(ClientUpdate.of(client), broadcast) == 0.0
         assert self.boolean_index_drift(client, broadcast) == 0.0
 
 
@@ -249,6 +285,11 @@ def plan_and_train(config, parts):
     return run_training(config, parts, plan_run(config, parts))
 
 
+def sent_nnz(update):
+    """Per layer, the connections a client's update carries."""
+    return [len(idx) for idx, _, _ in update.layers]
+
+
 def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
     rng = np.random.default_rng(seed)
     n = n_per_shard * m + 10
@@ -287,12 +328,14 @@ class TestLocalTrain:
         config = self.cfg(local_epochs=0)
         net, plan = self.setup_one(config, parts)
         out = self.train(parts, net, plan, 1, config)
-        for lo, ln in zip(out.layers, net.layers):
-            assert np.array_equal(lo.weights, ln.weights)
-            assert np.array_equal(lo.mask, ln.mask)
+        for (idx, values, bias), ln in zip(out.layers, net.layers):
+            # the broadcast's live positions, its weights there and its bias
+            assert np.array_equal(idx, np.flatnonzero(ln.mask))
+            assert values.tobytes() == np.take(ln.weights, idx).tobytes()
+            assert bias.tobytes() == ln.bias.tobytes()
 
     def train_counting_prunes(self, monkeypatch, parts, net, plan, r, config):
-        """(the client network, per layer the connections its last epoch pruned).
+        """(the client's update, per layer the connections its last epoch pruned).
 
         Every epoch before the last must end its regrowth on the targets.
         """
@@ -334,7 +377,7 @@ class TestLocalTrain:
             out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, r,
                                                           config)
             assert all(last_pruned)
-            assert out.layer_nnz() == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
+            assert sent_nnz(out) == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
     def test_broadcast_model_not_mutated(self):
         parts = tiny_partition()
@@ -355,9 +398,9 @@ class TestLocalTrain:
         config = self.cfg(mu=1e6, lr=1e-6, zeta=0.0, feature_selection=False)
         net, plan = self.setup_one(config, parts)
         out = self.train(parts, net, plan, 1, config)
-        for lo, ln in zip(out.layers, net.layers):
-            shared = lo.mask & ln.mask
-            assert np.max(np.abs((lo.weights - ln.weights)[shared])) < 1e-3
+        for (idx, values, _), ln in zip(out.layers, net.layers):
+            shared = np.take(ln.mask, idx)
+            assert np.max(np.abs(values[shared] - np.take(ln.weights, idx[shared]))) < 1e-3
 
     @pytest.mark.parametrize("selection", [True, False])
     @pytest.mark.parametrize("local_epochs", [1, 2, 3])
@@ -393,7 +436,7 @@ class TestLocalTrain:
         net, plan = self.setup_one(config, parts)
         out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, 1, config)
         assert all(last_pruned)
-        assert out.layer_nnz() == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
+        assert sent_nnz(out) == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
 
 class TestRunTraining:
@@ -460,13 +503,13 @@ class TestRunTraining:
         def slow_train(X, y, rows, *rest):
             m = int(rows[0]) // 12               # shard m holds rows 12m..12m+11
             time.sleep(0.05 * (3 - m))
-            net = real_train(X, y, rows, *rest)
-            owner[id(net)] = m
-            return net
+            update = real_train(X, y, rows, *rest)
+            owner[id(update)] = m
+            return update
 
-        def spy_fold(sums, coeff, net):
-            folds.append(owner[id(net)])
-            real_fold(sums, coeff, net)
+        def spy_fold(sums, coeff, update):
+            folds.append(owner[id(update)])
+            real_fold(sums, coeff, update)
 
         monkeypatch.setattr(fed_core, "local_train", slow_train)
         monkeypatch.setattr(fed_core, "aggregate", spy_fold)
@@ -495,9 +538,11 @@ class TestRunTraining:
         for m in range(2):
             outs.append(local_train(ds.X, ds.y, parts.shards[m], net, counts,
                                     1, cfg, np.zeros(6, dtype=bool)))
-        agg = fold([(12, outs[0]), (12, outs[1])])
-        for lo, (w, _) in zip(outs[0].layers, agg):
-            assert np.max(np.abs((lo.weights - w)[lo.mask])) <= 1e-12
+        sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in net.layers]
+        for update in outs:
+            fed_core.aggregate(sums, 12 / 24, update)
+        for (idx, values, _), (w, _) in zip(outs[0].layers, sums):
+            assert np.max(np.abs(values - np.take(w, idx))) <= 1e-12
 
     def test_empty_shard_rejected(self):
         parts = tiny_partition()

@@ -2,8 +2,10 @@
 
 Each run takes the desk config (configs/synthetic_noisy.yaml), cuts it to
 a few rounds, optionally overrides keys, and trains in a child process
-with the BLAS thread pools pinned to one thread: the last digits of the
-reported strengths depend on how the matmuls split their work. Five
+with one BLAS thread: the last digits of the reported strengths depend on
+how the matmuls split their work. The package pins the BLAS thread pools
+to one thread unless the environment sets a count, and `conftest.py` sets
+the same default for the suite and the children it starts. Five
 variants cover the distinct training branches: the desk config as is
 (input selection on, no proximal term), selection off (layer 0 runs plain
 DST on the dense input-layer gradient), FedProx (mu > 0, the proximal
@@ -15,7 +17,9 @@ output `data.normalize` computes in place on the one matrix. Two figure1
 studies, under minmax and under zscore, cover a dataset that the caller
 builds and `prepare` normalizes in place: the informative columns taken
 before normalizing, and two runs trained on one prepared partition. The
-digests hold for a given numpy/BLAS build and CPU; re-record them only
+digests hold for a given numpy/BLAS build and CPU at one BLAS thread; a
+child with no thread variable in its environment must write them too, so
+a plain `dsffs run` writes what they describe. Re-record them only
 when the platform changes, never to absorb a change in what the program
 computes.
 """
@@ -37,11 +41,19 @@ FIGURE1 = {
 }
 
 
-def run_desk(tmp_path, **keys):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+DESK_DIGESTS = {
+    "metrics.csv": "df79f270a7b4a6fc9f787b9a5b9e33907b4c4b3cc5c0b94859c3144e98ae3387",
+    "selected_features.json": "07bd239d4bba02403ee87923314b2485a99dd31bfe1562dd7bf595bb43f054e1",
+}
+
+
+def run_desk(tmp_path, env=None, **keys):
     """Run the desk config with `keys` set; return {file name: sha256} of its outputs.
 
     A key the desk config sets has its line replaced; any other is appended,
-    so no key appears twice.
+    so no key appears twice. `env` defaults to `child_env()`.
     """
     lines = (REPO / "configs" / "synthetic_noisy.yaml").read_text(encoding="utf-8").splitlines()
     for key, value in keys.items():
@@ -52,7 +64,7 @@ def run_desk(tmp_path, **keys):
         else:
             lines.append(line)
     return run_cli(tmp_path, "\n".join(lines) + "\n", ["run", "--workers", "1"],
-                   ("metrics.csv", "selected_features.json"))
+                   ("metrics.csv", "selected_features.json"), env)
 
 
 def run_figure1(tmp_path, **keys):
@@ -61,13 +73,13 @@ def run_figure1(tmp_path, **keys):
     return run_cli(tmp_path, text, ["figure1"], ("figure1_curves.csv", "figure1_report.json"))
 
 
-def run_cli(tmp_path, config_text, args, outputs):
+def run_cli(tmp_path, config_text, args, outputs, env=None):
     """Run `dsffs.cli` `args` on a config in a child process; hash its `outputs`."""
     (tmp_path / "config.yaml").write_text(config_text, encoding="utf-8")
     # a relative --out keeps the echoed out_dir, and so the manifest, stable
     proc = subprocess.run(
         [sys.executable, "-m", "dsffs.cli", *args, "--config", "config.yaml", "--out", "out"],
-        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=env or child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
@@ -75,11 +87,14 @@ def run_cli(tmp_path, config_text, args, outputs):
 
 
 def test_desk_run_matches_recorded_hashes(tmp_path):
-    assert run_desk(tmp_path, rounds=5) == {
-        "metrics.csv": "df79f270a7b4a6fc9f787b9a5b9e33907b4c4b3cc5c0b94859c3144e98ae3387",
-        "selected_features.json":
-            "07bd239d4bba02403ee87923314b2485a99dd31bfe1562dd7bf595bb43f054e1",
-    }
+    assert run_desk(tmp_path, rounds=5) == DESK_DIGESTS
+
+
+def test_desk_run_pins_its_own_blas_threads(tmp_path):
+    # no thread variable in the child's environment: on a machine with
+    # several CPUs, BLAS would split the matmuls unless the package pins it
+    env = {k: v for k, v in child_env().items() if k not in THREAD_VARS}
+    assert run_desk(tmp_path, env, rounds=5) == DESK_DIGESTS
 
 
 def test_selection_off_run_matches_recorded_hashes(tmp_path):

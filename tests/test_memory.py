@@ -3,9 +3,10 @@
 tracemalloc counts numpy's array allocations on any platform, so the data
 path's peak is measured in bytes against the matrix it builds. During
 training, clients and the evaluator must gather from the one normalized
-matrix, each client network must be folded and dropped before its pool
-thread trains another, and a round's client networks must be gone before
-the next round trains. The initial topology, the server step and the
+matrix, a client's network copy must die inside `local_train`, which
+returns the client's update, each update must be folded and dropped
+before its pool thread trains another, and a round's updates must be
+gone before the next round trains. The initial topology, the server step and the
 final selection must run on the pool, where the clients allocate, a
 client's last topology update must not hold its SGD state or forward
 cache, and no step's gradients may outlive it.
@@ -115,74 +116,108 @@ def test_evaluator_indexes_the_shared_matrix(monkeypatch):
         assert rows is parts.test
 
 
+def spy_on_client_networks(monkeypatch):
+    """Per thread, a weakref to the network the latest `local_train` there trained.
+
+    Only a client's own copy goes through `fed_core.forward`: the
+    evaluator calls `metrics.forward`.
+    """
+    trained = {}
+    real = fed_core.forward
+
+    def forward(net, *rest):
+        trained[threading.get_ident()] = weakref.ref(net)
+        return real(net, *rest)
+
+    monkeypatch.setattr(fed_core, "forward", forward)
+    return trained
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_round_client_networks_released_before_next_round(monkeypatch, workers):
     parts = tiny_partition(m=3)
-    returned = []          # (round, weakref to a client network)
+    trained = spy_on_client_networks(monkeypatch)
+    returned = []          # (round, weakref to a client update)
     alive_at_start = []
+    net_alive_at_return = []
     real = fed_core.local_train
 
     def spy(X, y, rows, global_net, counts, r, *rest):
         alive_at_start.extend((r, q) for q, ref in returned if q < r and ref() is not None)
-        net = real(X, y, rows, global_net, counts, r, *rest)
-        returned.append((r, weakref.ref(net)))
-        return net
+        update = real(X, y, rows, global_net, counts, r, *rest)
+        net_alive_at_return.append(trained[threading.get_ident()]() is not None)
+        returned.append((r, weakref.ref(update)))
+        return update
 
     monkeypatch.setattr(fed_core, "local_train", spy)
     plan_and_train(cfg(workers=workers), parts)
     assert len(returned) == 3 * 3
     assert alive_at_start == []
     assert np.all([ref() is None for _, ref in returned])
+    # the client's network copy died inside local_train
+    assert net_alive_at_return == [False] * 3 * 3
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_at_most_one_client_network_per_worker(monkeypatch, workers):
-    # five clients on fewer threads: a thread folds its client and drops
-    # the network before it trains the next, so when local_train starts the
-    # other threads hold at most one network each and this thread none
+    # five clients on fewer threads: a client's network dies inside
+    # local_train, and a thread folds its client's update and drops it
+    # before it trains the next, so when local_train starts the other
+    # threads hold at most one update each and this thread none
     parts = tiny_partition(m=5)
-    returned = []          # weakrefs to every client network trained so far
+    trained = spy_on_client_networks(monkeypatch)
+    returned = []          # weakrefs to every client update made so far
     alive_at_start = []
+    net_alive_at_return = []
     real = fed_core.local_train
 
     def spy(*args):
         alive_at_start.append(sum(ref() is not None for ref in list(returned)))
-        net = real(*args)
-        returned.append(weakref.ref(net))
-        return net
+        update = real(*args)
+        net_alive_at_return.append(trained[threading.get_ident()]() is not None)
+        returned.append(weakref.ref(update))
+        return update
 
     monkeypatch.setattr(fed_core, "local_train", spy)
     plan_and_train(cfg(clients=5, workers=workers, hidden_dims=[8]), parts)
     assert len(alive_at_start) == 5 * 3
     assert max(alive_at_start) <= workers - 1, alive_at_start
+    assert net_alive_at_return == [False] * 5 * 3
 
 
 def test_failing_client_fails_the_run(monkeypatch):
-    # client 1 of 4 raises in round 2 at three workers: client 2 waits on
-    # its fold, and the run must raise its error rather than hang
+    # client 1 of 4 raises in round 2. At three workers client 2 waits on
+    # its fold, and the run must raise its error rather than hang; at one
+    # worker clients 2 and 3 find it failed and raise without training
     parts = tiny_partition(m=4)
     real = fed_core.local_train
+    trained = []           # the clients round 2 called local_train for
 
     def spy(X, y, rows, global_net, counts, r, *rest):
+        if r == 2:
+            trained.append(next(m for m, shard in enumerate(parts.shards) if rows is shard))
         if r == 2 and rows is parts.shards[1]:
             raise RuntimeError("client 1 failed in round 2")
         return real(X, y, rows, global_net, counts, r, *rest)
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    raised = []
+    for workers in (3, 1):
+        trained.clear()
+        raised = []
 
-    def run():
-        try:
-            plan_and_train(cfg(clients=4, workers=3), parts)
-        except Exception as exc:  # noqa: BLE001 - handed to the test thread
-            raised.append(exc)
+        def run():
+            try:
+                plan_and_train(cfg(clients=4, workers=workers), parts)
+            except Exception as exc:  # noqa: BLE001 - handed to the test thread
+                raised.append(exc)
 
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "the round hung after a client failed"
-    assert [(type(exc), str(exc)) for exc in raised] == [
-        (RuntimeError, "client 1 failed in round 2")]
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the round hung after a client failed"
+        assert [(type(exc), str(exc)) for exc in raised] == [
+            (RuntimeError, "client 1 failed in round 2")]
+    assert trained == [0, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 3])

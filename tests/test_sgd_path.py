@@ -8,8 +8,9 @@ hyperparameters and multi-step runs with topology churn between steps,
 weights, biases, gradients and the live momentum must equal those of the
 original dense code (tests/reference_sgd.py) in every byte, so +0.0 and
 -0.0 count as different. So must a whole `local_train`, which skips the
-momentum remap and the regrowth after its last epoch (its mask then lacks
-the positions the reference regrew last, all at weight +0.0), and steps
+momentum remap and the regrowth after its last epoch and sends its live
+weights (the reference regrew more positions last, all at weight +0.0,
+and holds +0.0 at every position the update does not carry), and steps
 taken after the weights or the FedProx anchor changed behind the cached
 copies.
 """
@@ -196,18 +197,21 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
 
     out = local_train(X, y, rows, broadcast, counts, 1, config, removed)
     expected = reference_local_train(X, y, rows, broadcast, counts, 1, config, removed)
-    for layer, ref_layer in zip(out.layers, expected.layers):
-        assert same_bytes(layer.weights, ref_layer.weights)
-        assert same_bytes(layer.bias, ref_layer.bias)
-        # local_train stops at the last epoch's prunes: its mask lacks the
-        # positions the reference regrew last, each at weight +0.0 there
-        assert not np.any(layer.mask & ~ref_layer.mask)
-        regrown = np.flatnonzero(ref_layer.mask & ~layer.mask)
-        assert len(regrown) > 0
-        assert same_bytes(np.take(ref_layer.weights, regrown), np.zeros(len(regrown)))
+    for (idx, values, bias), ref_layer in zip(out.layers, expected.layers):
+        # the values at the update's index and +0.0 everywhere else: the
+        # reference's dense weights, byte for byte
+        assert np.all(np.diff(idx) > 0)
+        assert same_bytes(values, np.take(ref_layer.weights, idx))
+        off = np.ones(ref_layer.mask.size, dtype=bool)
+        off[idx] = False
+        assert same_bytes(ref_layer.weights.ravel()[off], np.zeros(np.count_nonzero(off)))
+        assert same_bytes(bias, ref_layer.bias)
+        # local_train stops at the last epoch's prunes: it sends fewer
+        # positions than the reference, which regrew after its last prune
+        assert np.take(ref_layer.mask, idx).all()
+        assert len(idx) < np.count_nonzero(ref_layer.mask)
     # the topology moved, so a skipped or wrong remap would show
-    assert not np.array_equal(out.layers[0].mask, broadcast.layers[0].mask)
-    out.validate()
+    assert not np.array_equal(out.layers[0][0], np.flatnonzero(broadcast.layers[0].mask))
 
 
 @pytest.mark.parametrize("edit, mu", [("weights", None), ("weights", 0.5),
