@@ -48,6 +48,7 @@ class ExperimentConfig(FedConfig):
     parses it by its field type. Defaults follow the standard setup.
     """
 
+    clients: int = 10                   # the shards prepare partitions the data into
     dataset: str = "synthetic"          # synthetic | csv | idx | libsvm
     path: str | None = None             # idx: "images_path,labels_path"
     label_column: str | None = None
@@ -175,7 +176,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def prepare(cfg: ExperimentConfig, ds: Dataset | None = None):
-    """Dataset -> normalized, partitioned dataset ready for run_training.
+    """Dataset -> normalized dataset in cfg.clients shards, ready for plan_run.
 
     Builds the dataset unless given one. Either way its matrix is normalized
     in place, with statistics from the training shards, and the partition
@@ -230,7 +231,7 @@ def write_outputs(cfg: ExperimentConfig, files: dict[str, str]) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, {"workers": args.workers, "out_dir": args.out})
     parts = prepare(cfg)
-    server, metrics, selection = run_training(cfg, parts, plan_run(cfg, parts))
+    server, metrics, selection = run_training(plan_run(cfg, parts))
 
     manifest = {
         "selected_features": selection.indices,
@@ -261,8 +262,8 @@ def figure1_study(cfg: ExperimentConfig):
     no feature selection; (2) all columns, no feature selection; (3) all
     columns with feature selection on. `informative` holds the ground-truth
     column indices and `runs` the three `run_training` results, in that
-    order. Every run is planned before any trains, so a config error
-    raises first.
+    order. Every run is planned, on its own config and partition, before
+    any trains, so a config error raises first.
     """
     if cfg.dataset != "synthetic":
         raise ConfigError("the figure1 study requires a synthetic dataset config")
@@ -275,17 +276,16 @@ def figure1_study(cfg: ExperimentConfig):
     informative_only = prepare(cfg, original)
     # run_training only reads its data: both noisy runs share one partition
     noisy = prepare(cfg, ds)
-    runs = [(replace(cfg, feature_selection=fs, k_features=min(cfg.k_features, parts.data.d)),
-             parts, what)
+    runs = [(plan_run(replace(cfg, feature_selection=fs,
+                              k_features=min(cfg.k_features, parts.data.d)), parts), what)
             for parts, fs, what in [
                 (informative_only, False, "informative features only (no selection)"),
                 (noisy, False, "noisy features (no selection)"),
                 (noisy, True, "noisy features with selection")]]
-    plans = [plan_run(sub, parts) for sub, parts, _ in runs]
     results = []
-    for (sub, parts, what), plan in zip(runs, plans):
+    for plan, what in runs:
         log.info("figure1: training on %s", what)
-        results.append(run_training(sub, parts, plan))
+        results.append(run_training(plan))
     return informative, results
 
 

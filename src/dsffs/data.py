@@ -66,10 +66,6 @@ class PartitionedDataset:
     shards: list[np.ndarray]
     test: np.ndarray
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.shards)
-
 
 def _dense_labels(raw: list) -> np.ndarray:
     """Remap arbitrary label values onto 0..C-1 (numeric order if possible).

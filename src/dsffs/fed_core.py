@@ -17,7 +17,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,10 +59,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class FedConfig:
-    """Everything the orchestrator needs besides the data itself."""
+    """Everything the orchestrator needs besides the data, whose shards are the clients."""
 
     hidden_dims: list[int] = field(default_factory=lambda: [200, 200])
-    clients: int = 10
     clients_per_round: int | None = None   # None = all clients every round
     local_epochs: int = 10
     rounds: int = 400
@@ -81,11 +80,7 @@ class FedConfig:
     feature_selection: bool = True
 
     def validate(self) -> None:
-        cpr = self.clients_per_round
         for ok, problem in [
-            (self.clients >= 2, "a federation needs at least two clients"),
-            (cpr is None or 1 <= cpr <= self.clients,
-             f"clients_per_round must be in 1..{self.clients}, got {cpr}"),
             (self.local_epochs >= 0, "local_epochs cannot be negative"),
             (self.rounds >= 1, "need at least one round"),
             (0.0 <= self.sparsity < 1.0, f"sparsity must be in [0, 1), got {self.sparsity}"),
@@ -109,8 +104,13 @@ class FedConfig:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """What `plan_run` fixes before round 1; round r's entries sit at index r - 1."""
+    """A copy of the config `plan_run` checked, its data, and what it fixed before round 1.
 
+    Round r's entries sit at index r - 1. Equality ignores the inputs.
+    """
+
+    config: FedConfig = field(compare=False, repr=False)
+    data: PartitionedDataset = field(compare=False, repr=False)
     dims: tuple[int, ...]                   # layer widths, input first
     k: int                                  # features the run selects
     targets: tuple[int, ...]                # per-layer connection counts
@@ -338,18 +338,20 @@ def _shared_mask_drift(update: ClientUpdate, global_net: SparseNetwork) -> float
 def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
     """Check a config against its data; fix what a run knows before round 1.
 
-    Raises every ConfigError a run can meet before training. K is
-    k_features capped at the input width; with selection off, T = 0.
-    Round r trains the clients drawn from (seed, r, 0xC11). Every round
-    ends each layer on its target, so a client's cost is fixed too: Q *
-    ceil(N_m / B) * B training examples at 3x the targets' inference
-    FLOPs, and one sparse-model upload.
+    Raises every ConfigError a run can meet before training. The shards
+    are the clients. K is k_features capped at the input width; with
+    selection off, T = 0. Round r trains the clients drawn from (seed, r,
+    0xC11). Every round ends each layer on its target, so a client's cost
+    is fixed too: Q * ceil(N_m / B) * B training examples at 3x the
+    targets' inference FLOPs, and one sparse-model upload.
     """
+    config = replace(config, hidden_dims=list(config.hidden_dims))
     config.validate()
-    if data.n_clients != config.clients:
-        raise ConfigError(
-            f"config says {config.clients} clients but data has {data.n_clients} shards"
-        )
+    n, cpr = len(data.shards), config.clients_per_round
+    if n < 2:
+        raise ConfigError("a federation needs at least two clients")
+    if cpr is not None and not 1 <= cpr <= n:
+        raise ConfigError(f"clients_per_round must be in 1..{n}, got {cpr}")
     for m, shard in enumerate(data.shards):
         if len(shard) == 0:
             raise ConfigError(f"client {m} has an empty shard")
@@ -386,10 +388,9 @@ def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
     model_bits = upload_cost_bits(sum(a * b for a, b in zip(dims, dims[1:])), config.sparsity)
     clients, coeffs, flops, bits = [], [], [0], [0]
     for r in range(1, config.rounds + 1):
-        # drawing every client gives a permutation, so sorted range(clients)
+        # drawing every client gives a permutation, so sorted range(n)
         pick_rng = np.random.default_rng([config.seed, r, 0xC11])
-        selected = tuple(sorted(int(i) for i in pick_rng.choice(
-            config.clients, size=config.clients_per_round or config.clients, replace=False)))
+        selected = tuple(sorted(int(i) for i in pick_rng.choice(n, cpr or n, replace=False)))
         sizes = [len(data.shards[m]) for m in selected]
         total = float(sum(sizes))
         clients.append(selected)
@@ -398,30 +399,30 @@ def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
         examples = sum(math.ceil(n_m / config.batch_size) * config.batch_size for n_m in sizes)
         flops.append(flops[-1] + config.local_epochs * examples * example_flops)
         bits.append(bits[-1] + len(sizes) * model_bits)
-    return RunPlan(dims, k, tuple(targets), removal, tuple(clients), tuple(coeffs),
+    return RunPlan(config, data, dims, k, tuple(targets), removal, tuple(clients), tuple(coeffs),
                    tuple(flops[1:]), tuple(bits[1:]))
 
 
-def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
-    """Full federated run from `plan`; returns (server, per-round metrics, selection).
+def run_training(plan: RunPlan):
+    """Train the plan's config on its data; returns (server, per-round metrics, selection).
 
-    `plan` is `plan_run(config, data)`. Each round its clients train in a
-    thread pool on its counts and fold with its coefficients, and the
-    server resparsifies what they aggregated. The pool has config.workers
-    threads; by default (None) one per client, but no more than the CPUs
-    this process may run on (`os.sched_getaffinity`, else
-    `os.cpu_count()`), since a thread per client beyond that adds a
-    client network to memory and no speed. Every client draws its
-    randomness from (seed, round, epoch), and each pool task folds its
-    client into the aggregate only after the client before it in id order
-    has, so results do not depend on the thread count or on scheduling.
+    Each round the plan's clients train in a thread pool on its counts and
+    fold with its coefficients, and the server resparsifies what they
+    aggregated. The pool has the config's `workers` threads; by default
+    (None) one per shard, but no more than the CPUs this process may run
+    on (`os.sched_getaffinity`, else `os.cpu_count()`), since a thread per
+    client beyond that adds a client network to memory and no speed. Every
+    client draws its randomness from (seed, round, epoch), and each pool
+    task folds its client into the aggregate only after the client before
+    it in id order has, so results do not depend on the thread count or
+    on scheduling.
 
-    What stays resident is the one normalized matrix in `data`, which
-    every client indexes through its shard and the evaluator through the
-    test index, plus the global model and the round's (weights, bias)
-    sums. A client's network copy lives only while it trains, so at most
-    config.workers of them are alive at once; a finished client holds its
-    update, its live values and biases, until its fold.
+    What stays resident is the one normalized matrix in the plan's data,
+    which every client indexes through its shard and the evaluator
+    through the test index, plus the global model and the round's
+    (weights, bias) sums. A client's network copy lives only while it
+    trains, so at most `workers` of them are alive at once; a finished
+    client holds its update, its live values and biases, until its fold.
 
     The initial topology, each round's server step (resparsify, the
     non-finite check, the evaluation) and the final feature selection
@@ -434,13 +435,14 @@ def run_training(config: FedConfig, data: PartitionedDataset, plan: RunPlan):
     `wide_input` benchmark workload's peak from 164 MB to 150 MB, with the
     same outputs.
     """
+    config, data = plan.config, plan.data
     ds = data.data
     recorder = MetricsRecorder((ds.X, ds.y), data.test, plan)
     metrics: list[RoundMetrics] = []
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=config.workers or min(config.clients, cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers or min(len(data.shards), cpus)) as pool:
         server = ServerState(
             pool.submit(init_er_topology, plan.dims, config.sparsity, config.seed).result(),
             plan.removal, np.zeros(ds.d, dtype=bool))

@@ -37,7 +37,7 @@ def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwo
         w = np.array(w, dtype=float)
         m = np.array(masks[k], dtype=bool) if masks is not None else (w != 0.0)
         b = np.array(biases[k], dtype=float) if biases is not None else np.zeros(w.shape[1])
-        w = w * m
+        w = np.where(m, w, 0.0)
         layers.append(SparseLayer(w, m, b))
     nnz = [layer.nnz() for layer in layers]
     total = sum(layer.rows * layer.cols for layer in layers)

@@ -58,16 +58,16 @@ def noisy_feature_study(seed: int) -> tuple[float, float, float]:
 def run_cfg(cfg: ExperimentConfig, parts):
     """Plan and train on a prepared partition, with k_features capped at its width."""
     cfg = replace(cfg, k_features=min(cfg.k_features, parts.data.d))
-    return run_training(cfg, parts, plan_run(cfg, parts))
+    return run_training(plan_run(cfg, parts))
 
 
 def test_criterion_1_sparsity_conservation():
     start = time.time()
     ds = generate_synthetic(10, 50, 400, 3, seed=2)
     parts = partition_noniid(ds, 4, 0.5, seed=2)
-    cfg = FedConfig(hidden_dims=[16, 8], clients=4, rounds=20, local_epochs=2,
+    cfg = FedConfig(hidden_dims=[16, 8], rounds=20, local_epochs=2,
                     sparsity=0.6, k_features=12, seed=2, batch_size=16, lr=0.02)
-    server, metrics, _ = run_training(cfg, parts, plan_run(cfg, parts))
+    server, metrics, _ = run_training(plan_run(cfg, parts))
     targets = server.global_model.nnz_targets
     per_layer_ok = all(m.layer_nnz == targets for m in metrics)
     global_ok = all(m.global_nnz == sum(targets) for m in metrics)
@@ -292,8 +292,7 @@ def test_criterion_9_fedprox_reduces_drift():
     for seed in (1, 2, 3):
         drifts[0.0].append(noisy_feature_study(seed)[2])
         cfg = load_config(str(DESK_CONFIG), {"seed": seed, "mu": 1.0})
-        parts = prepare(cfg)
-        _, metrics, _ = run_training(cfg, parts, plan_run(cfg, parts))
+        _, metrics, _ = run_training(plan_run(cfg, prepare(cfg)))
         drifts[1.0].append(float(np.mean([m.client_drift for m in metrics])))
     med0 = float(np.median(drifts[0.0]))
     med1 = float(np.median(drifts[1.0]))

@@ -94,10 +94,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus_knob"):
             load_config(p)
 
-    def test_single_client_rejected(self, tmp_path):
+    def test_single_client_rejected(self, tmp_path, capsys):
+        # the partition owns the client count: a config of one client
+        # parses, and its partition is what rejects it
         p = write_cfg(tmp_path, TINY.replace("clients: 2", "clients: 1"))
-        with pytest.raises(ConfigError, match="two clients"):
-            load_config(p)
+        assert load_config(p).clients == 1
+        out = tmp_path / "out"
+        for argv in (["run", "--config", p, "--out", str(out)], ["inspect", "--config", p]):
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: a federation needs at least two clients\n")
+            assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         p = write_cfg(tmp_path, TINY.replace("seed: 11", "seed: -1"))
@@ -469,6 +476,12 @@ REJECTED_BEFORE_TRAINING = {
     "no_test_rows_small_fraction": (("n_samples: 120", "n_samples: 4\ntest_fraction: 0.1"),
                                     "held-out test split is empty"),
     "one_class": (("n_classes: 2", "n_classes: 1"), "need at least two classes, the data has 1"),
+    # the partition rejects one client; the plan checks the draw against its shards
+    "one_client": (("clients: 2", "clients: 1"), "a federation needs at least two clients"),
+    "no_clients_per_round": (("clients: 2", "clients: 2\nclients_per_round: 0"),
+                             r"clients_per_round must be in 1\.\.2, got 0"),
+    "clients_per_round_above_clients": (("clients: 2", "clients: 2\nclients_per_round: 3"),
+                                        r"clients_per_round must be in 1\.\.2, got 3"),
 }
 
 

@@ -112,10 +112,6 @@ class TestAggregate:
                                                          max_size=c), min_size=r, max_size=r)))
                 biases.append(data.draw(st.lists(weight, min_size=c, max_size=c)))
             net = build_net(mats, masks=masks, biases=biases)
-            for layer in net.layers:
-                # build_net's w * mask leaves -0.0 off the mask where the
-                # drawn value was negative; a network holds +0.0 there
-                layer.weights[~layer.mask] = 0.0
             clients.append((data.draw(st.integers(1, 500)), net))
         out = fold(clients)
         total = float(sum(n for n, _ in clients))
@@ -127,12 +123,20 @@ class TestAggregate:
             assert w.tobytes() == ref_w.tobytes()
             assert b.tobytes() == ref_b.tobytes()
 
+    def test_built_net_holds_positive_zero_off_its_mask(self):
+        # off its mask a network holds +0.0, never -0.0, whatever the given value
+        net = build_net([[[-2.0, 3.0], [-0.0, -1e-300]]], masks=[[[0, 1], [0, 0]]])
+        off = net.layers[0].weights[~net.layers[0].mask]
+        assert off.tobytes() == np.zeros(3).tobytes()
+
     def test_empty_rejected(self):
         # every round folds at least one client: a round of none is
-        # rejected before round 1
-        cfg = FedConfig(hidden_dims=[4], clients=2, clients_per_round=0, rounds=1)
-        with pytest.raises(ValueError, match="clients_per_round"):
-            plan_run(cfg, tiny_partition())
+        # rejected before round 1, as is a draw of more clients than shards
+        for cpr in (0, 3):
+            cfg = FedConfig(hidden_dims=[4], clients_per_round=cpr, rounds=1)
+            with pytest.raises(ConfigError, match=rf"clients_per_round must be in 1\.\.2, "
+                                                  f"got {cpr}"):
+                plan_run(cfg, tiny_partition())
 
 
 class TestSharedMaskDrift:
@@ -182,8 +186,7 @@ REMOVE_TWO_IN_ROUND_ONE = removal_plan(6, 2, 0.4, 0.5, 2)
 
 class TestResparsify:
     def config(self, **kw):
-        base = dict(hidden_dims=[4], clients=2, rounds=10, sparsity=0.5,
-                    k_features=2, seed=0)
+        base = dict(hidden_dims=[4], rounds=10, sparsity=0.5, k_features=2, seed=0)
         base.update(kw)
         return FedConfig(**base)
 
@@ -282,7 +285,7 @@ class TestResparsify:
 
 def plan_and_train(config, parts):
     """Plan a run of `config` on `parts`, then train it."""
-    return run_training(config, parts, plan_run(config, parts))
+    return run_training(plan_run(config, parts))
 
 
 def sent_nnz(update):
@@ -306,7 +309,7 @@ def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
 
 class TestLocalTrain:
     def cfg(self, **kw):
-        base = dict(hidden_dims=[5], clients=2, rounds=4, sparsity=0.5,
+        base = dict(hidden_dims=[5], rounds=4, sparsity=0.5,
                     k_features=2, local_epochs=2, batch_size=4, seed=0,
                     lr=0.05, zeta=0.2, beta=0.5)
         base.update(kw)
@@ -441,7 +444,7 @@ class TestLocalTrain:
 
 class TestRunTraining:
     def cfg(self, **kw):
-        base = dict(hidden_dims=[8], clients=2, rounds=1, sparsity=0.5,
+        base = dict(hidden_dims=[8], rounds=1, sparsity=0.5,
                     k_features=3, local_epochs=1, batch_size=8, seed=1,
                     lr=0.05, zeta=0.2, beta=0.5)
         base.update(kw)
@@ -465,8 +468,8 @@ class TestRunTraining:
 
     def test_workers_do_not_change_results(self):
         parts = tiny_partition(m=4)
-        a = plan_and_train(self.cfg(clients=4, rounds=2, workers=1), parts)
-        b = plan_and_train(self.cfg(clients=4, rounds=2, workers=4), parts)
+        a = plan_and_train(self.cfg(rounds=2, workers=1), parts)
+        b = plan_and_train(self.cfg(rounds=2, workers=4), parts)
         assert [m.csv_row() for m in a[1]] == [m.csv_row() for m in b[1]]
         assert a[2].indices == b[2].indices
 
@@ -488,7 +491,7 @@ class TestRunTraining:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(fed_core, "local_train", spy)
-        plan_and_train(self.cfg(clients=4, rounds=2), parts)
+        plan_and_train(self.cfg(rounds=2), parts)
         assert len(threads) == 2 * 4
         assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
@@ -496,7 +499,7 @@ class TestRunTraining:
         # lower ids train longest, so clients finish in reverse; the fold
         # still walks them in id order and the bits match one worker
         parts = tiny_partition(m=4)
-        serial = plan_and_train(self.cfg(clients=4, rounds=2, workers=1), parts)
+        serial = plan_and_train(self.cfg(rounds=2, workers=1), parts)
         real_train, real_fold = fed_core.local_train, fed_core.aggregate
         owner, folds = {}, []
 
@@ -518,7 +521,7 @@ class TestRunTraining:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = plan_and_train(self.cfg(clients=4, rounds=2, workers=4), parts)
+            threaded = plan_and_train(self.cfg(rounds=2, workers=4), parts)
         finally:
             sys.setswitchinterval(interval)
         assert folds == [0, 1, 2, 3] * 2
@@ -544,6 +547,16 @@ class TestRunTraining:
         for (idx, values, _), (w, _) in zip(outs[0].layers, sums):
             assert np.max(np.abs(values - np.take(w, idx))) <= 1e-12
 
+    def test_plan_trains_the_config_it_checked(self):
+        parts = tiny_partition()
+        cfg = self.cfg(rounds=2)
+        plan = plan_run(cfg, parts)
+        cfg.sparsity, cfg.hidden_dims[0] = 0.1, 3
+        _, metrics, sel = run_training(plan)
+        _, ref_metrics, ref_sel = plan_and_train(self.cfg(rounds=2), parts)
+        assert [m.csv_row() for m in metrics] == [m.csv_row() for m in ref_metrics]
+        assert (sel.indices, sel.strengths) == (ref_sel.indices, ref_sel.strengths)
+
     def test_empty_shard_rejected(self):
         parts = tiny_partition()
         parts.shards[1] = np.array([], dtype=int)
@@ -552,7 +565,7 @@ class TestRunTraining:
 
     def test_single_client_rejected(self):
         with pytest.raises(ConfigError, match="two clients"):
-            FedConfig(clients=1).validate()
+            plan_run(self.cfg(), tiny_partition(m=1))
 
     def test_layer0_budget_the_schedule_cannot_hold_fails_before_training(self, monkeypatch):
         # D=50 and K=5 remove T=35 inputs, leaving 15 x 8 = 120 layer-0
@@ -578,13 +591,13 @@ class TestRunTraining:
 
     def test_client_subsampling(self):
         parts = tiny_partition(m=4)
-        cfg = self.cfg(clients=4, clients_per_round=2, rounds=3)
+        cfg = self.cfg(clients_per_round=2, rounds=3)
         server, metrics, _ = plan_and_train(cfg, parts)
         assert len(metrics) == 3
         assert metrics[-1].global_nnz == sum(server.global_model.nnz_targets)
         # drawing all clients is the same run as leaving the draw unset
         (s_all, m_all, sel_all), (s_none, m_none, sel_none) = (
-            plan_and_train(self.cfg(clients=4, clients_per_round=cpr, rounds=3), parts)
+            plan_and_train(self.cfg(clients_per_round=cpr, rounds=3), parts)
             for cpr in (4, None))
         assert [m.csv_row() for m in m_all] == [m.csv_row() for m in m_none]
         assert (sel_all.indices, sel_all.strengths) == (sel_none.indices, sel_none.strengths)
@@ -613,7 +626,7 @@ class TestRoundProperties:
         m = data.draw(st.integers(2, 4), label="clients")
         cpr = data.draw(st.one_of(st.none(), st.integers(1, m)), label="clients_per_round")
         base = dict(
-            hidden_dims=[5], clients=m, clients_per_round=cpr, rounds=4,
+            hidden_dims=[5], clients_per_round=cpr, rounds=4,
             sparsity=0.5, k_features=2, local_epochs=2, batch_size=4, lr=0.05,
             zeta=0.2, beta=0.5, adjust_every=2,
             adjust_rate=data.draw(st.sampled_from([0.0, 0.3]), label="adjust_rate"),
@@ -623,11 +636,14 @@ class TestRoundProperties:
         )
         parts = tiny_partition(n_per_shard=data.draw(st.integers(3, 10)), m=m,
                                seed=base["seed"])
-        plan = plan_run(FedConfig(**base), parts)
+        # the thread count is no part of what a plan fixes
+        plans = [plan_run(FedConfig(**base, workers=w), parts) for w in (1, 2)]
+        assert plans[0] == plans[1]
+        plan = plans[0]
         with warnings.catch_warnings():
             # a tiny client layer may regrow short; the server restores the budget
             warnings.simplefilter("ignore", RuntimeWarning)
-            runs = [run_training(FedConfig(**base, workers=w), parts, plan) for w in (1, 2)]
+            runs = [run_training(p) for p in plans]
         (s1, metrics1, sel1), (s2, metrics2, sel2) = runs
         assert [r.csv_row() for r in metrics1] == [r.csv_row() for r in metrics2]
         assert sel1.indices == sel2.indices

@@ -76,7 +76,7 @@ def test_prepare_normalizes_a_callers_dataset_in_place(mode):
 
 
 def cfg(**kw):
-    base = dict(hidden_dims=[5], clients=3, rounds=3, sparsity=0.5, k_features=2,
+    base = dict(hidden_dims=[5], rounds=3, sparsity=0.5, k_features=2,
                 local_epochs=2, batch_size=4, seed=0, lr=0.05, zeta=0.2, beta=0.5)
     base.update(kw)
     return FedConfig(**base)
@@ -179,7 +179,7 @@ def test_at_most_one_client_network_per_worker(monkeypatch, workers):
         return update
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    plan_and_train(cfg(clients=5, workers=workers, hidden_dims=[8]), parts)
+    plan_and_train(cfg(workers=workers, hidden_dims=[8]), parts)
     assert len(alive_at_start) == 5 * 3
     assert max(alive_at_start) <= workers - 1, alive_at_start
     assert net_alive_at_return == [False] * 5 * 3
@@ -207,7 +207,7 @@ def test_failing_client_fails_the_run(monkeypatch):
 
         def run():
             try:
-                plan_and_train(cfg(clients=4, workers=workers), parts)
+                plan_and_train(cfg(workers=workers), parts)
             except Exception as exc:  # noqa: BLE001 - handed to the test thread
                 raised.append(exc)
 

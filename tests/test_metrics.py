@@ -30,9 +30,8 @@ def plan_costs(dims, shard_sizes, **keys):
         [rng.integers(0, c, size=n - 2 * c), np.arange(2 * c) % c]))
     ends = np.cumsum(shard_sizes)
     shards = [np.arange(end - size, end) for size, end in zip(shard_sizes, ends)]
-    config = FedConfig(**{"hidden_dims": hidden, "clients": len(shard_sizes), "rounds": 1,
-                          "k_features": d, "local_epochs": 2, "batch_size": 10,
-                          "sparsity": 0.5, **keys})
+    config = FedConfig(**{"hidden_dims": hidden, "rounds": 1, "k_features": d,
+                          "local_epochs": 2, "batch_size": 10, "sparsity": 0.5, **keys})
     plan = plan_run(config, PartitionedDataset(ds, shards, np.arange(ends[-1], n)))
     return plan, init_er_topology(dims, config.sparsity, config.seed)
 
@@ -127,7 +126,7 @@ class TestFlops:
 
     def test_depends_only_on_counts(self):
         parts = tiny_partition(d=30, c=4, m=3)
-        config = FedConfig(hidden_dims=[10], clients=3, rounds=3, k_features=30)
+        config = FedConfig(hidden_dims=[10], rounds=3, k_features=30)
         a = plan_run(config, parts)
         parts.data.X *= 100.0
         b = plan_run(config, parts)

@@ -187,7 +187,7 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
     X = rng.normal(size=(n + 5, d))
     y = rng.integers(0, 3, size=n + 5)
     rows = np.arange(5, n + 5)
-    config = FedConfig(hidden_dims=[8, 6], clients=2, rounds=4, sparsity=0.6, k_features=4,
+    config = FedConfig(hidden_dims=[8, 6], rounds=4, sparsity=0.6, k_features=4,
                        local_epochs=local_epochs, batch_size=6, lr=0.1, zeta=0.3, beta=0.5,
                        mu=mu, seed=3)
     broadcast = random_net(rng, [d, 8, 6, 3], 0.4)
