@@ -274,7 +274,8 @@ def figure1_study(cfg: ExperimentConfig):
                        name=ds.name + "_original", meta=dict(ds.meta))
 
     informative_only = prepare(cfg, original)
-    # run_training only reads its data: both noisy runs share one partition
+    # both noisy runs plan from one partition: each plan copies its index
+    # arrays and shares its matrix and labels, which run_training only reads
     noisy = prepare(cfg, ds)
     runs = [(plan_run(replace(cfg, feature_selection=fs,
                               k_features=min(cfg.k_features, parts.data.d)), parts), what)

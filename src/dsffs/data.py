@@ -63,7 +63,7 @@ class PartitionedDataset:
     """Disjoint client shards plus a held-out test split, as index arrays."""
 
     data: Dataset
-    shards: list[np.ndarray]
+    shards: list[np.ndarray] | tuple[np.ndarray, ...]   # a RunPlan keeps a tuple
     test: np.ndarray
 
 

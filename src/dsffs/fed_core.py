@@ -33,7 +33,6 @@ from .dst_update import (
 )
 from .input_selector import (
     RemovalPlan,
-    ScheduleCounts,
     SelectionResult,
     prune_input,
     regrow_input,
@@ -104,8 +103,11 @@ class FedConfig:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """A copy of the config `plan_run` checked, its data, and what it fixed before round 1.
+    """The inputs `plan_run` checked, and what it fixed before round 1.
 
+    `config` and the index arrays in `data` are copies (the shards as a
+    tuple), so a later edit of the caller's does not reach the run; the
+    data matrix and its labels are shared, so an edit to them does.
     Round r's entries sit at index r - 1. Equality ignores the inputs.
     """
 
@@ -141,27 +143,27 @@ class ClientUpdate:
                          for idx, layer in zip(live, net.layers)))
 
 
-def local_train(X: np.ndarray, y: np.ndarray, rows: np.ndarray, global_net: SparseNetwork,
-                counts: ScheduleCounts, r: int, config: FedConfig,
+def local_train(plan: RunPlan, r: int, m: int, global_net: SparseNetwork,
                 global_removed: np.ndarray) -> ClientUpdate:
-    """Train one client on its shard for Q epochs from the broadcast model; return its upload.
+    """Train client m in round r for Q epochs from the broadcast model; return its upload.
 
-    X and y are the whole dataset and `rows` the client's shard index;
-    each minibatch gathers its rows of X through `rows`, so no shard is
-    copied.
+    The config, the data matrix, client m's shard index and round r's
+    neuron schedule all come from `plan`; each minibatch gathers its rows
+    of the matrix through the shard index, so no shard is copied.
     Each epoch runs minibatch SGD over the shard, then one topology
     update: the dense gradient is re-evaluated on the epoch's last
     minibatch at the post-step weights and feeds both the input-layer and
     the hidden-layer prune/regrow; before another epoch, the momentum
-    moves onto the new masks. `counts` is the round's neuron schedule,
-    read only when feature selection is on: the first epoch applies it,
-    later epochs apply steady-state churn (equal prune/regrow, no net
-    removal).
+    moves onto the new masks. The schedule is read only when feature
+    selection is on: the first epoch applies round r's counts, later
+    epochs apply steady-state churn (equal prune/regrow, no net removal).
 
     The last epoch stops at its prunes: no re-evaluation and no regrowth,
     which would only set positions at weight +0.0. The client sends what
     is then live, and its network copy dies here.
     """
+    config, ds, rows = plan.config, plan.data.data, plan.data.shards[m]
+    X, y, counts = ds.X, ds.y, plan.removal.counts[r - 1]
     net = global_net.copy()
     removed = global_removed.copy()
 
@@ -338,15 +340,16 @@ def _shared_mask_drift(update: ClientUpdate, global_net: SparseNetwork) -> float
 def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
     """Check a config against its data; fix what a run knows before round 1.
 
-    Raises every ConfigError a run can meet before training. The shards
-    are the clients. K is k_features capped at the input width; with
-    selection off, T = 0. Round r trains the clients drawn from (seed, r,
-    0xC11). Every round ends each layer on its target, so a client's cost
-    is fixed too: Q * ceil(N_m / B) * B training examples at 3x the
-    targets' inference FLOPs, and one sparse-model upload.
+    Raises every ConfigError a run can meet before training, on the copies
+    the plan keeps. The shards are the clients. K is k_features capped at
+    the input width; with selection off, T = 0. Round r trains the clients
+    drawn from (seed, r, 0xC11). Every round ends each layer on its target,
+    so a client's cost is fixed too: Q * ceil(N_m / B) * B training examples
+    at 3x the targets' inference FLOPs, and one sparse-model upload.
     """
     config = replace(config, hidden_dims=list(config.hidden_dims))
     config.validate()
+    data = PartitionedDataset(data.data, tuple(map(np.array, data.shards)), np.array(data.test))
     n, cpr = len(data.shards), config.clients_per_round
     if n < 2:
         raise ConfigError("a federation needs at least two clients")
@@ -406,9 +409,9 @@ def plan_run(config: FedConfig, data: PartitionedDataset) -> RunPlan:
 def run_training(plan: RunPlan):
     """Train the plan's config on its data; returns (server, per-round metrics, selection).
 
-    Each round the plan's clients train in a thread pool on its counts and
-    fold with its coefficients, and the server resparsifies what they
-    aggregated. The pool has the config's `workers` threads; by default
+    Each round the plan's clients train in a thread pool and fold with its
+    coefficients, and the server resparsifies what they aggregated. The
+    pool has the config's `workers` threads; by default
     (None) one per shard, but no more than the CPUs this process may run
     on (`os.sched_getaffinity`, else `os.cpu_count()`), since a thread per
     client beyond that adds a client network to memory and no speed. Every
@@ -417,12 +420,13 @@ def run_training(plan: RunPlan):
     it in id order has, so results do not depend on the thread count or
     on scheduling.
 
-    What stays resident is the one normalized matrix in the plan's data,
-    which every client indexes through its shard and the evaluator
-    through the test index, plus the global model and the round's
-    (weights, bias) sums. A client's network copy lives only while it
-    trains, so at most `workers` of them are alive at once; a finished
-    client holds its update, its live values and biases, until its fold.
+    What stays resident is the one normalized matrix the plan shares with
+    its caller, which every client indexes through the plan's copy of its
+    shard and the evaluator through the plan's copy of the test index,
+    plus the global model and the round's (weights, bias) sums. A client's
+    network copy lives only while it trains, so at most `workers` of them
+    are alive at once; a finished client holds its update, its live values
+    and biases, until its fold.
 
     The initial topology, each round's server step (resparsify, the
     non-finite check, the evaluation) and the final feature selection
@@ -436,8 +440,7 @@ def run_training(plan: RunPlan):
     same outputs.
     """
     config, data = plan.config, plan.data
-    ds = data.data
-    recorder = MetricsRecorder((ds.X, ds.y), data.test, plan)
+    recorder = MetricsRecorder(plan)
     metrics: list[RoundMetrics] = []
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -445,11 +448,9 @@ def run_training(plan: RunPlan):
     with ThreadPoolExecutor(max_workers=config.workers or min(len(data.shards), cpus)) as pool:
         server = ServerState(
             pool.submit(init_er_topology, plan.dims, config.sparsity, config.seed).result(),
-            plan.removal, np.zeros(ds.d, dtype=bool))
-        for r, (counts, selected, coeffs) in enumerate(
-                zip(plan.removal.counts, plan.clients, plan.coeffs), start=1):
-            broadcast = server.global_model
-            removed = server.global_removed
+            plan.removal, np.zeros(plan.dims[0], dtype=bool))
+        for r, (selected, coeffs) in enumerate(zip(plan.clients, plan.coeffs), start=1):
+            broadcast, removed = server.global_model, server.global_removed
             sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
                     for layer in broadcast.layers]
 
@@ -464,8 +465,7 @@ def run_training(plan: RunPlan):
                 if before is not None and before.done():
                     before.result()
                 with np.errstate(over="ignore", invalid="ignore"):
-                    update = local_train(ds.X, ds.y, data.shards[selected[i]], broadcast,
-                                         counts, r, config, removed)
+                    update = local_train(plan, r, selected[i], broadcast, removed)
                     drift = _shared_mask_drift(update, broadcast)
                     if before is not None:
                         before.result()

@@ -90,11 +90,9 @@ def upload_cost_bits(n_params: int, sparsity: float) -> int:
 
 
 class MetricsRecorder:
-    """Each round's costs from `plan`, a `fed_core.RunPlan`, and accuracy on `test_rows`."""
+    """Each round's costs from `plan`, a `fed_core.RunPlan`, and accuracy on its test rows."""
 
-    def __init__(self, data, test_rows: np.ndarray, plan):
-        self.data = data
-        self.test_rows = test_rows
+    def __init__(self, plan):
         self.plan = plan
 
     def record_round(self, net: SparseNetwork, r: int, client_drift: float) -> RoundMetrics:
@@ -102,7 +100,8 @@ class MetricsRecorder:
 
         `client_drift` is the round's mean client drift from the broadcast.
         """
-        acc = accuracy(net, self.data, self.test_rows)
+        ds, test = self.plan.data.data, self.plan.data.test
+        acc = accuracy(net, (ds.X, ds.y), test)
         connected = int(net.layers[0].mask.any(axis=1).sum())
         return RoundMetrics(
             round=r,

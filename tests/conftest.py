@@ -20,13 +20,15 @@ REPO = Path(__file__).resolve().parent.parent
 def child_env() -> dict[str, str]:
     """The environment for a child process that runs this checkout's code.
 
-    It is this process's environment, with `src` first on PYTHONPATH. The
-    package pins the BLAS thread pools to one thread unless the environment
-    sets them, since how the matmuls split their work moves the last digits
-    of the reported strengths.
+    It is this process's environment, with `src` first on PYTHONPATH and no
+    empty entry, which would put the child's working directory on
+    `sys.path`. The package pins the BLAS thread pools to one thread unless
+    the environment sets them, since how the matmuls split their work moves
+    the last digits of the reported strengths.
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
 
 

@@ -368,10 +368,10 @@ class TestCmdRun:
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
-        lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
+        lines = Path(out, "metrics.csv").read_text().splitlines()
         assert lines[0].startswith("round,accuracy,cumulative_flops")
         assert len(lines) == 1 + 2  # header + one row per round
-        manifest = json.load(open(os.path.join(out, "selected_features.json")))
+        manifest = json.loads(Path(out, "selected_features.json").read_text())
         assert len(manifest["selected_features"]) == 4
         assert manifest["seed"] == 11
         assert os.path.exists(os.path.join(out, "config.resolved"))
@@ -387,8 +387,8 @@ class TestCmdRun:
         assert main(["run", "--config", cfg, "--out", out_a]) == EXIT_OK
         assert main(["run", "--config", cfg, "--out", out_b]) == EXIT_OK
         for name in ("metrics.csv", "selected_features.json", "config.resolved"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             # out_dir differs inside the echoed config; normalize it away
             a = a.replace(out_a.encode(), b"OUT")
             b = b.replace(out_b.encode(), b"OUT")
@@ -508,10 +508,10 @@ class TestCmdFigure1:
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "fig")
         assert main(["figure1", "--config", cfg, "--out", out]) == EXIT_OK
-        lines = open(os.path.join(out, "figure1_curves.csv")).read().splitlines()
+        lines = Path(out, "figure1_curves.csv").read_text().splitlines()
         assert lines[0] == "round,acc_original,acc_noisy_nofs,acc_noisy_fs"
         assert len(lines) == 1 + 2
-        report = json.load(open(os.path.join(out, "figure1_report.json")))
+        report = json.loads(Path(out, "figure1_report.json").read_text())
         inter = set(report["selected_features"]) & set(report["informative_idx"])
         assert report["recovery_fraction"] == pytest.approx(
             len(inter) / report["n_informative"])

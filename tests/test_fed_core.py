@@ -316,28 +316,26 @@ class TestLocalTrain:
         return FedConfig(**base)
 
     def setup_one(self, config, parts):
-        ds = parts.data
-        dims = [ds.d] + config.hidden_dims + [ds.n_classes]
-        net = init_er_topology(dims, config.sparsity, config.seed)
-        plan = removal_plan(ds.d, config.k_features, config.zeta, config.beta, config.rounds)
-        return net, plan
+        """(the initial network, the plan of `config` on `parts`)."""
+        plan = plan_run(config, parts)
+        return init_er_topology(plan.dims, config.sparsity, config.seed), plan
 
-    def train(self, parts, net, plan, r, config):
-        return local_train(parts.data.X, parts.data.y, parts.shards[0], net,
-                           plan.counts[r - 1], r, config, np.zeros(6, dtype=bool))
+    def train(self, net, plan, r):
+        """Client 0's round-r update from `net`, nothing removed yet."""
+        return local_train(plan, r, 0, net, np.zeros(6, dtype=bool))
 
     def test_zero_epochs_returns_model_unchanged(self):
         parts = tiny_partition()
         config = self.cfg(local_epochs=0)
         net, plan = self.setup_one(config, parts)
-        out = self.train(parts, net, plan, 1, config)
+        out = self.train(net, plan, 1)
         for (idx, values, bias), ln in zip(out.layers, net.layers):
             # the broadcast's live positions, its weights there and its bias
             assert np.array_equal(idx, np.flatnonzero(ln.mask))
             assert values.tobytes() == np.take(ln.weights, idx).tobytes()
             assert bias.tobytes() == ln.bias.tobytes()
 
-    def train_counting_prunes(self, monkeypatch, parts, net, plan, r, config):
+    def train_counting_prunes(self, monkeypatch, net, plan, r):
         """(the client's update, per layer the connections its last epoch pruned).
 
         Every epoch before the last must end its regrowth on the targets.
@@ -364,9 +362,10 @@ class TestLocalTrain:
         monkeypatch.setattr(fed_core, "prune_input", prune_input)
         monkeypatch.setattr(fed_core, "magnitude_prune_hidden", prune_hidden)
         monkeypatch.setattr(fed_core, "mask_velocity", remap)
-        out = self.train(parts, net, plan, r, config)
-        assert len(pruned) == 2 * config.local_epochs
-        assert nnz_at_remap == [net.nnz_targets] * (config.local_epochs - 1)
+        out = self.train(net, plan, r)
+        epochs = plan.config.local_epochs
+        assert len(pruned) == 2 * epochs
+        assert nnz_at_remap == [net.nnz_targets] * (epochs - 1)
         last = np.concatenate(pruned[-2:])
         return out, np.bincount(last[:, 0], minlength=len(net.layers)).tolist()
 
@@ -377,8 +376,7 @@ class TestLocalTrain:
         config = self.cfg()
         net, plan = self.setup_one(config, parts)
         for r in range(1, 4):
-            out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, r,
-                                                          config)
+            out, last_pruned = self.train_counting_prunes(monkeypatch, net, plan, r)
             assert all(last_pruned)
             assert sent_nnz(out) == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
@@ -387,7 +385,7 @@ class TestLocalTrain:
         config = self.cfg()
         net, plan = self.setup_one(config, parts)
         snapshot = [(l.weights.copy(), l.mask.copy(), l.bias.copy()) for l in net.layers]
-        self.train(parts, net, plan, 1, config)
+        self.train(net, plan, 1)
         for layer, (w, m, b) in zip(net.layers, snapshot):
             assert np.array_equal(layer.weights, w)
             assert np.array_equal(layer.mask, m)
@@ -400,7 +398,7 @@ class TestLocalTrain:
         parts = tiny_partition()
         config = self.cfg(mu=1e6, lr=1e-6, zeta=0.0, feature_selection=False)
         net, plan = self.setup_one(config, parts)
-        out = self.train(parts, net, plan, 1, config)
+        out = self.train(net, plan, 1)
         for (idx, values, _), ln in zip(out.layers, net.layers):
             shared = np.take(ln.mask, idx)
             assert np.max(np.abs(values[shared] - np.take(ln.weights, idx[shared]))) < 1e-3
@@ -422,7 +420,7 @@ class TestLocalTrain:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(fed_core, name, spy)
-        self.train(parts, net, plan, 1, config)
+        self.train(net, plan, 1)
         steps = local_epochs * math.ceil(10 / 4)
         regrows = local_epochs - 1
         assert calls == {
@@ -437,7 +435,7 @@ class TestLocalTrain:
         parts = tiny_partition(n_per_shard=3)
         config = self.cfg(batch_size=64)
         net, plan = self.setup_one(config, parts)
-        out, last_pruned = self.train_counting_prunes(monkeypatch, parts, net, plan, 1, config)
+        out, last_pruned = self.train_counting_prunes(monkeypatch, net, plan, 1)
         assert all(last_pruned)
         assert sent_nnz(out) == [t - p for t, p in zip(net.nnz_targets, last_pruned)]
 
@@ -503,10 +501,9 @@ class TestRunTraining:
         real_train, real_fold = fed_core.local_train, fed_core.aggregate
         owner, folds = {}, []
 
-        def slow_train(X, y, rows, *rest):
-            m = int(rows[0]) // 12               # shard m holds rows 12m..12m+11
+        def slow_train(plan, r, m, *rest):
             time.sleep(0.05 * (3 - m))
-            update = real_train(X, y, rows, *rest)
+            update = real_train(plan, r, m, *rest)
             owner[id(update)] = m
             return update
 
@@ -533,14 +530,9 @@ class TestRunTraining:
         # aggregated model must match each client's result at shared masks
         parts = tiny_partition(duplicate=True)
         cfg = self.cfg(local_epochs=1, rounds=1)
-        ds = parts.data
-        dims = [ds.d] + cfg.hidden_dims + [ds.n_classes]
-        net = init_er_topology(dims, cfg.sparsity, cfg.seed)
-        counts = removal_plan(ds.d, cfg.k_features, cfg.zeta, cfg.beta, cfg.rounds).counts[0]
-        outs = []
-        for m in range(2):
-            outs.append(local_train(ds.X, ds.y, parts.shards[m], net, counts,
-                                    1, cfg, np.zeros(6, dtype=bool)))
+        plan = plan_run(cfg, parts)
+        net = init_er_topology(plan.dims, cfg.sparsity, cfg.seed)
+        outs = [local_train(plan, 1, m, net, np.zeros(6, dtype=bool)) for m in range(2)]
         sums = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in net.layers]
         for update in outs:
             fed_core.aggregate(sums, 12 / 24, update)
@@ -556,6 +548,28 @@ class TestRunTraining:
         _, ref_metrics, ref_sel = plan_and_train(self.cfg(rounds=2), parts)
         assert [m.csv_row() for m in metrics] == [m.csv_row() for m in ref_metrics]
         assert (sel.indices, sel.strengths) == (ref_sel.indices, ref_sel.strengths)
+
+    def test_plan_trains_the_partition_it_checked(self):
+        # the plan copies the shard and test index arrays: emptying a shard,
+        # writing into another and editing the test split after planning
+        # change no byte of the run
+        parts = tiny_partition(m=3)
+        cfg = self.cfg(rounds=2, local_epochs=2)
+        untouched = PartitionedDataset(parts.data, [s.copy() for s in parts.shards],
+                                       parts.test.copy())
+        plan = plan_run(cfg, parts)
+        parts.shards[1] = parts.shards[1][:0]
+        parts.shards[2][:] = parts.shards[0]
+        parts.test[:] = parts.test[0]
+        _, metrics, sel = run_training(plan)
+        _, ref_metrics, ref_sel = plan_and_train(cfg, untouched)
+        rows = [m.csv_row() for m in metrics]
+        assert rows == [m.csv_row() for m in ref_metrics]
+        assert (sel.indices, sel.strengths) == (ref_sel.indices, ref_sel.strengths)
+        # the in-place edits, had they reached the run, would show
+        edited = PartitionedDataset(parts.data, [*untouched.shards[:2], parts.shards[2]],
+                                    parts.test)
+        assert [m.csv_row() for m in plan_and_train(cfg, edited)[1]] != rows
 
     def test_empty_shard_rejected(self):
         parts = tiny_partition()

@@ -26,8 +26,11 @@ computes.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from conftest import REPO, child_env
 
@@ -84,6 +87,18 @@ def run_cli(tmp_path, config_text, args, outputs, env=None):
     assert proc.returncode == 0, proc.stderr
     return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in outputs}
+
+
+@pytest.mark.parametrize("inherited", [None, "", "/elsewhere"])
+def test_child_pythonpath_has_src_first_and_no_empty_entry(monkeypatch, inherited):
+    # an empty entry would put each child's working directory on sys.path
+    if inherited is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    entries = child_env()["PYTHONPATH"].split(os.pathsep)
+    assert "" not in entries
+    assert entries == [str(REPO / "src"), *([inherited] if inherited else [])]
 
 
 def test_desk_run_matches_recorded_hashes(tmp_path):

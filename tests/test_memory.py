@@ -21,7 +21,7 @@ import pytest
 
 from dsffs import cli, fed_core, metrics
 from dsffs.data import generate_synthetic
-from dsffs.fed_core import FedConfig
+from dsffs.fed_core import FedConfig, plan_run, run_training
 
 from test_fed_core import plan_and_train, tiny_partition
 
@@ -83,20 +83,25 @@ def cfg(**kw):
 
 
 def test_clients_index_the_shared_matrix(monkeypatch):
+    # the plan shares the caller's matrix and labels, and each client reads
+    # the plan's own copy of its shard index, the same array every round
     parts = tiny_partition(m=3)
     seen = []
     real = fed_core.local_train
 
-    def spy(X, y, rows, *rest):
-        seen.append((X, y, rows))
-        return real(X, y, rows, *rest)
+    def spy(plan, r, m, *rest):
+        seen.append((plan, m, plan.data.data, plan.data.shards[m]))
+        return real(plan, r, m, *rest)
 
     monkeypatch.setattr(fed_core, "local_train", spy)
-    plan_and_train(cfg(), parts)
+    plan = plan_run(cfg(), parts)
+    run_training(plan)
     assert len(seen) == 3 * 3
-    for k, (X, y, rows) in enumerate(seen):
-        assert X is parts.data.X and y is parts.data.y
-        assert rows is parts.shards[k % 3]
+    for k, (trained, m, ds, rows) in enumerate(seen):
+        assert trained is plan and m == k % 3
+        assert ds.X is parts.data.X and ds.y is parts.data.y
+        assert rows is plan.data.shards[m] and rows is seen[m][3]
+        assert rows is not parts.shards[m] and np.array_equal(rows, parts.shards[m])
 
 
 def test_evaluator_indexes_the_shared_matrix(monkeypatch):
@@ -109,11 +114,13 @@ def test_evaluator_indexes_the_shared_matrix(monkeypatch):
         return real(net, data, rows)
 
     monkeypatch.setattr(metrics, "accuracy", spy)
-    plan_and_train(cfg(), parts)
+    plan = plan_run(cfg(), parts)
+    run_training(plan)
     assert len(seen) == 3
     for (X, y), rows in seen:
         assert X is parts.data.X and y is parts.data.y
-        assert rows is parts.test
+        assert rows is plan.data.test
+        assert rows is not parts.test and np.array_equal(rows, parts.test)
 
 
 def spy_on_client_networks(monkeypatch):
@@ -142,9 +149,9 @@ def test_round_client_networks_released_before_next_round(monkeypatch, workers):
     net_alive_at_return = []
     real = fed_core.local_train
 
-    def spy(X, y, rows, global_net, counts, r, *rest):
+    def spy(plan, r, *rest):
         alive_at_start.extend((r, q) for q, ref in returned if q < r and ref() is not None)
-        update = real(X, y, rows, global_net, counts, r, *rest)
+        update = real(plan, r, *rest)
         net_alive_at_return.append(trained[threading.get_ident()]() is not None)
         returned.append((r, weakref.ref(update)))
         return update
@@ -193,12 +200,12 @@ def test_failing_client_fails_the_run(monkeypatch):
     real = fed_core.local_train
     trained = []           # the clients round 2 called local_train for
 
-    def spy(X, y, rows, global_net, counts, r, *rest):
+    def spy(plan, r, m, *rest):
         if r == 2:
-            trained.append(next(m for m, shard in enumerate(parts.shards) if rows is shard))
-        if r == 2 and rows is parts.shards[1]:
+            trained.append(m)
+        if r == 2 and m == 1:
             raise RuntimeError("client 1 failed in round 2")
-        return real(X, y, rows, global_net, counts, r, *rest)
+        return real(plan, r, m, *rest)
 
     monkeypatch.setattr(fed_core, "local_train", spy)
     for workers in (3, 1):

@@ -156,12 +156,6 @@ class TestUploadCost:
 
 
 class TestRecordRound:
-    def make_recorder(self, plan, net):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, net.layers[0].rows))
-        y = rng.integers(0, net.layers[-1].cols, size=40)
-        return MetricsRecorder((X, y), np.arange(40), plan)
-
     def test_two_identical_clients_double_cost(self):
         one, _ = plan_costs([6, 4, 2], [30, 30], clients_per_round=1)
         two, _ = plan_costs([6, 4, 2], [30, 30])
@@ -172,7 +166,7 @@ class TestRecordRound:
         # 10 identical clients
         plan, net = plan_costs([20, 10, 4], [17] * 10, sparsity=0.8, batch_size=8,
                                local_epochs=3, rounds=5)
-        rec = self.make_recorder(plan, net)
+        rec = MetricsRecorder(plan)
         last = None
         for r in range(1, 6):
             last = rec.record_round(net, r, 0.0)
@@ -186,7 +180,7 @@ class TestRecordRound:
 
     def test_round_record_holds_layer_nnz_and_drift(self):
         plan, net = plan_costs([8, 6, 2], [10, 10])
-        m = self.make_recorder(plan, net).record_round(net, 1, 0.25)
+        m = MetricsRecorder(plan).record_round(net, 1, 0.25)
         assert m.layer_nnz == net.layer_nnz()
         assert m.global_nnz == net.nnz()
         assert m.client_drift == 0.25
@@ -195,7 +189,7 @@ class TestRecordRound:
 
     def test_counters_monotone(self):
         plan, net = plan_costs([8, 6, 2], [10, 20], rounds=4)
-        rec = self.make_recorder(plan, net)
+        rec = MetricsRecorder(plan)
         prev_f = prev_u = -1
         for r in range(1, 5):
             m = rec.record_round(net, r, 0.0)

@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_sgd as ref
+from dsffs.data import Dataset, PartitionedDataset
 from dsffs.dst_update import gradient_regrow_hidden, magnitude_prune_hidden
-from dsffs.fed_core import FedConfig, local_train
+from dsffs.fed_core import FedConfig, local_train, plan_run
 from dsffs.input_selector import prune_input, regrow_input, removal_plan
 from dsffs.sparse_net import (
     SparseLayer,
@@ -190,12 +191,15 @@ def test_local_train_matches_reference_loop(local_epochs, mu):
     config = FedConfig(hidden_dims=[8, 6], rounds=4, sparsity=0.6, k_features=4,
                        local_epochs=local_epochs, batch_size=6, lr=0.1, zeta=0.3, beta=0.5,
                        mu=mu, seed=3)
+    # client 0 trains on `rows`; the first five rows are the other shard and the test split
+    plan = plan_run(config, PartitionedDataset(Dataset(X, y), [rows, np.arange(5)],
+                                               np.arange(5)))
     broadcast = random_net(rng, [d, 8, 6, 3], 0.4)
     counts = removal_plan(d, 4, config.zeta, config.beta, config.rounds).counts[0]
-    assert counts.n_remove > 0
+    assert counts.n_remove > 0 and plan.removal.counts[0] == counts
     removed = np.zeros(d, dtype=bool)
 
-    out = local_train(X, y, rows, broadcast, counts, 1, config, removed)
+    out = local_train(plan, 1, 0, broadcast, removed)
     expected = reference_local_train(X, y, rows, broadcast, counts, 1, config, removed)
     for (idx, values, bias), ref_layer in zip(out.layers, expected.layers):
         # the values at the update's index and +0.0 everywhere else: the
