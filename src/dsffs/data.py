@@ -349,6 +349,5 @@ def generate_synthetic(n_informative: int, n_noise: int, n_samples: int,
     informative_idx = np.nonzero(perm < n_informative)[0]
     return Dataset(
         X, y, name=f"synthetic_{n_informative}+{n_noise}",
-        meta={"informative_idx": [int(i) for i in informative_idx],
-              "separation": float(separation)},
+        meta={"informative_idx": [int(i) for i in informative_idx]},
     )

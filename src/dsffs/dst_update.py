@@ -198,9 +198,9 @@ def churn_count(net: SparseNetwork, l: int, fraction: float,
 
 
 def magnitude_prune_hidden(net: SparseNetwork, fraction: float) -> TopologyDelta:
-    """Prune floor(fraction * nnz) weakest connections of every non-input layer."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"prune fraction must be in (0, 1), got {fraction}")
+    """Prune floor(fraction * nnz) weakest connections of every non-input layer; 0 prunes none."""
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"prune fraction must be in [0, 1), got {fraction}")
     delta = TopologyDelta()
     for l in range(1, len(net.layers)):
         prune_layer_by_magnitude(net, l, churn_count(net, l, fraction), delta)

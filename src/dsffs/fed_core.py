@@ -157,6 +157,8 @@ def local_train(plan: RunPlan, r: int, m: int, global_net: SparseNetwork,
     moves onto the new masks. The schedule is read only when feature
     selection is on: the first epoch applies round r's counts, later
     epochs apply steady-state churn (equal prune/regrow, no net removal).
+    Every epoch takes the same calls: a zero `zeta` churns no connection
+    (the neuron schedule still applies), and a zero `mu` adds no proximal term.
 
     The last epoch stops at its prunes: no re-evaluation and no regrowth,
     which would only set positions at weight +0.0. The client sends what
@@ -167,7 +169,7 @@ def local_train(plan: RunPlan, r: int, m: int, global_net: SparseNetwork,
     net = global_net.copy()
     removed = global_removed.copy()
 
-    prox = (config.mu, global_net) if config.mu > 0 else None
+    prox = (config.mu, global_net)
     velocity = None
     n = len(rows)
 
@@ -203,21 +205,19 @@ def local_train(plan: RunPlan, r: int, m: int, global_net: SparseNetwork,
         if config.feature_selection:
             epoch_counts = counts if q == 1 else counts.churn()
             update = prune_input(net, removed, epoch_counts, config.zeta)
-        elif config.zeta > 0.0:
+        else:
             # plain dynamic sparse training on the input layer too
             delta0 = TopologyDelta()
             prune_layer_by_magnitude(net, 0, churn_count(net, 0, config.zeta), delta0)
-        if config.zeta > 0.0:
-            delta = magnitude_prune_hidden(net, config.zeta)
+        delta = magnitude_prune_hidden(net, config.zeta)
         if last:
             break
 
         if config.feature_selection:
             regrow_input(net, removed, epoch_counts, grads.weights[0], update)
-        elif config.zeta > 0.0:
+        else:
             regrow_layer_by_gradient(net, 0, grads.weights[0], delta0)
-        if config.zeta > 0.0:
-            gradient_regrow_hidden(net, grads.weights, delta)
+        gradient_regrow_hidden(net, grads.weights, delta)
         del grads
         mask_velocity(net, velocity)
     return ClientUpdate.of(net)

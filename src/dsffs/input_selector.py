@@ -103,11 +103,9 @@ def row_strengths(weights: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InputUpdate:
-    """One input-layer prune (and later regrow) in progress."""
+    """One input-layer prune (and later regrow) in progress: the connections it changed."""
 
     delta: TopologyDelta
-    # rows fully disconnected this update, in ascending pre-prune strength
-    pruned_neurons: list[int]
 
 
 def prune_input(net: SparseNetwork, removed: np.ndarray,
@@ -117,7 +115,9 @@ def prune_input(net: SparseNetwork, removed: np.ndarray,
     First the counts.n_p connected neurons not in the boolean `removed`
     row mask with the lowest strength lose all their connections (ties
     toward the lowest index; a partial selection with the contract of
-    `dst_update.smallest`). Then the connection stage is the one every
+    `dst_update.smallest`), and the counts.n_remove weakest of them are
+    marked in `removed`, for good (fewer only when fewer than n_p are
+    prunable, which warns). Then the connection stage is the one every
     layer runs, `dst_update.prune_layer_by_magnitude` with axis=1: it
     drops floor(zeta * remaining) live connections of smallest |weight|,
     capped by the headroom of the still-connected rows so the paired
@@ -142,9 +142,10 @@ def prune_input(net: SparseNetwork, removed: np.ndarray,
     rows, cols = np.nonzero(layer.mask[victims])
     cut(net, 0, victims[rows] * layer.cols + cols, delta)
     connected[victims] = False
+    removed[victims[:counts.n_remove]] = True
 
     prune_layer_by_magnitude(net, 0, churn_count(net, 0, zeta, connected), delta, axis=1)
-    return InputUpdate(delta, victims.tolist())
+    return InputUpdate(delta)
 
 
 def regrow_input(net: SparseNetwork, removed: np.ndarray,
@@ -152,26 +153,23 @@ def regrow_input(net: SparseNetwork, removed: np.ndarray,
                  update: InputUpdate) -> InputUpdate:
     """Reconnect neurons and connections after prune_input().
 
-    The counts.n_remove lowest-strength neurons pruned this update are
-    marked in the boolean `removed` row mask, for good. Among the
-    remaining disconnected neurons not in `removed`, the counts.n_g with
-    the largest row-max |gradient| are reconnected through their single
-    best inactive position (weight 0), picked by `dst_update.smallest` on
-    negated scores. Finally the connections are topped up on connected
+    Among the disconnected neurons not in the boolean `removed` row mask,
+    which prune_input has already marked, the counts.n_g with the largest
+    row-max |gradient| are reconnected through their single best inactive
+    position (weight 0), picked by `dst_update.smallest` on negated
+    scores. Finally the connections are topped up on connected
     rows back to the layer target by the regrow every layer runs,
     `dst_update.regrow_layer_by_gradient`, which never reuses a position
     pruned in this same update; neuron reconnection may (the whole row was
     just cleared, and the single strongest position wins regardless of
     its history).
 
-    Fewer than n_remove pruned neurons, or fewer than n_g regrowable
-    ones, happen only when prune_input picked fewer than n_p and warned:
-    with all n_p picked, the n_g not removed stay in the pool.
+    Fewer than n_g regrowable neurons happen only when prune_input picked
+    fewer than n_p and warned: with all n_p picked, the n_g not removed
+    stay in the pool. `removed` is read, never written.
     """
     layer = net.layers[0]
     delta = update.delta
-
-    removed[update.pruned_neurons[:counts.n_remove]] = True
 
     # neuron reconnection: best row-max |gradient| wins, ties by index
     connected = layer.mask.any(axis=1)

@@ -295,8 +295,8 @@ def sgd_step(net, grads: Gradients, lr: float, momentum: float = 0.0,
     differs from the one the state last saw. `velocity` must match the
     current masks (see `mask_velocity`).
 
-    `prox` is an optional (mu, anchor_network) pair; when present,
-    mu * (w - w_anchor) is added to the weight gradient at live positions.
+    `prox` is an optional (mu, anchor_network) pair: mu * (w - w_anchor)
+    is added to the weight gradient at live positions, and a zero mu adds nothing.
     The anchor's live weights are read again only when the live index,
     the anchor object or its version changes. Returns the state for reuse
     on the next call.

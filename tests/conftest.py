@@ -1,15 +1,15 @@
 import os
 from pathlib import Path
 
-# before numpy loads its BLAS: in-process tests compute with one BLAS
-# thread, as the package pins for a run and as the child processes inherit
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# first, so that numpy loads its BLAS under the package's one-thread pin:
+# in-process tests compute as a run does, and child processes inherit it
+import dsffs  # noqa: F401  isort: skip
 
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
+import numpy as np
+import pytest
 
-from dsffs.fed_core import ClientUpdate, aggregate  # noqa: E402
+from dsffs.data import Dataset, PartitionedDataset
+from dsffs.fed_core import ClientUpdate, aggregate, plan_run, run_training
 from dsffs.sparse_net import SparseLayer, SparseNetwork, forward
 from reference_sgd import softmax_cross_entropy
 
@@ -46,6 +46,31 @@ def build_net(weight_mats, masks=None, biases=None, targets=None) -> SparseNetwo
     sparsity = 1.0 - sum(nnz) / total
     densities = [layer.nnz() / (layer.rows * layer.cols) for layer in layers]
     return SparseNetwork(layers, sparsity, densities, targets if targets is not None else nnz)
+
+
+def conns(triples) -> set:
+    """(layer, row, col) rows, an array or a list, as a set of int tuples."""
+    return {tuple(int(v) for v in t) for t in triples}
+
+
+def plan_and_train(config, parts):
+    """Plan a run of `config` on `parts`, then train it."""
+    return run_training(plan_run(config, parts))
+
+
+def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
+    """m shards of n_per_shard random rows each, then a 10-row test split."""
+    rng = np.random.default_rng(seed)
+    n = n_per_shard * m + 10
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, c, size=n).astype(np.int64)
+    if duplicate:  # identical shard contents at distinct indices
+        X[n_per_shard:2 * n_per_shard] = X[:n_per_shard]
+        y[n_per_shard:2 * n_per_shard] = y[:n_per_shard]
+    ds = Dataset(X, y)
+    shards = [np.arange(k * n_per_shard, (k + 1) * n_per_shard) for k in range(m)]
+    test = np.arange(m * n_per_shard, n)
+    return PartitionedDataset(ds, shards, test)
 
 
 def fold(clients) -> list[tuple[np.ndarray, np.ndarray]]:

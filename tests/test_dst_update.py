@@ -11,7 +11,7 @@ from dsffs.dst_update import (
     prune_layer_by_magnitude,
 )
 
-from conftest import build_net
+from conftest import build_net, conns
 
 
 def two_layer(hidden_w, hidden_mask=None, cols=None):
@@ -21,11 +21,6 @@ def two_layer(hidden_w, hidden_mask=None, cols=None):
     return build_net([stub, hidden_w],
                      masks=None if hidden_mask is None else
                      [np.ones_like(stub, dtype=bool), np.array(hidden_mask, bool)])
-
-
-def conns(triples) -> set:
-    """A TopologyDelta array of (layer, row, col) rows as a set of tuples."""
-    return set(map(tuple, triples.tolist()))
 
 
 class TestMagnitudePrune:
@@ -84,9 +79,18 @@ class TestMagnitudePrune:
 
     def test_rejects_bad_fraction(self):
         net = two_layer([[1.0, 2.0]])
-        for bad in (0.0, 1.0, -0.5, 1.5):
+        for bad in (1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 magnitude_prune_hidden(net, bad)
+        # a zero fraction is a zero count: on a layer with churn headroom,
+        # nothing is pruned and no byte changes
+        net = two_layer([[0.9, -0.5], [0.1, 0.3], [0.0, 0.0]],
+                        hidden_mask=[[1, 1], [1, 1], [0, 0]])
+        before = [(layer.mask.tobytes(), layer.weights.tobytes()) for layer in net.layers]
+        delta = magnitude_prune_hidden(net, 0.0)
+        assert delta.pruned.tolist() == [] and delta.regrown.tolist() == []
+        assert [(layer.mask.tobytes(), layer.weights.tobytes())
+                for layer in net.layers] == before
 
     def test_dense_layer_has_no_churn_headroom(self):
         net = two_layer([[1.0, 2.0], [3.0, 4.0]])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsffs import fed_core
-from dsffs.data import Dataset, PartitionedDataset, generate_synthetic, partition_noniid
+from dsffs.data import PartitionedDataset, generate_synthetic, partition_noniid
 from dsffs.fed_core import (
     ClientUpdate,
     FedConfig,
@@ -26,7 +26,7 @@ from dsffs.input_selector import ScheduleCounts, removal_plan, row_strengths
 from dsffs.metrics import inference_flops, upload_cost_bits
 from dsffs.sparse_net import ConfigError, init_er_topology
 
-from conftest import build_net, fold
+from conftest import build_net, fold, plan_and_train, tiny_partition
 
 
 def brute_force_average(client_nets, weights):
@@ -283,28 +283,9 @@ class TestResparsify:
         assert not out2.layers[1].mask[oi, oj]  # off-cadence: mask held fixed
 
 
-def plan_and_train(config, parts):
-    """Plan a run of `config` on `parts`, then train it."""
-    return run_training(plan_run(config, parts))
-
-
 def sent_nnz(update):
     """Per layer, the connections a client's update carries."""
     return [len(idx) for idx, _, _ in update.layers]
-
-
-def tiny_partition(n_per_shard=12, d=6, c=2, seed=0, m=2, duplicate=False):
-    rng = np.random.default_rng(seed)
-    n = n_per_shard * m + 10
-    X = rng.normal(size=(n, d))
-    y = rng.integers(0, c, size=n).astype(np.int64)
-    if duplicate:  # identical shard contents at distinct indices
-        X[n_per_shard:2 * n_per_shard] = X[:n_per_shard]
-        y[n_per_shard:2 * n_per_shard] = y[:n_per_shard]
-    ds = Dataset(X, y)
-    shards = [np.arange(k * n_per_shard, (k + 1) * n_per_shard) for k in range(m)]
-    test = np.arange(m * n_per_shard, n)
-    return PartitionedDataset(ds, shards, test)
 
 
 class TestLocalTrain:
@@ -619,6 +600,49 @@ class TestRunTraining:
             assert np.array_equal(a.mask, b.mask)
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
+
+    @pytest.mark.parametrize("selection", [False, True])
+    def test_zero_zeta_without_adjustment_keeps_the_topology(self, monkeypatch, selection):
+        # zeta 0 churns no connection, so every client sends the broadcast
+        # masks of the layers it does not select on, and adjust_every 0
+        # swaps none at the server: without selection every round's global
+        # masks are the initial topology; with it, the input layer loses
+        # its removed rows and the layers after it never change
+        parts = tiny_partition()
+        cfg = self.cfg(hidden_dims=[8, 4], rounds=4, local_epochs=2, zeta=0.0,
+                       adjust_every=0, feature_selection=selection)
+        plan = plan_run(cfg, parts)
+        sent, masks = [], []
+
+        def train(*args, _real=fed_core.local_train):
+            update = _real(*args)
+            sent.append([idx for idx, _, _ in update.layers])
+            return update
+
+        def resparsify(*args, _real=fed_core.resparsify_and_reconcile):
+            out = _real(*args)
+            masks.append([layer.mask.copy() for layer in out.layers])
+            return out
+
+        monkeypatch.setattr(fed_core, "local_train", train)
+        monkeypatch.setattr(fed_core, "resparsify_and_reconcile", resparsify)
+        server, metrics, _ = run_training(plan)
+        initial = [layer.mask for layer in
+                   init_er_topology(plan.dims, cfg.sparsity, cfg.seed).layers]
+        static = range(1 if selection else 0, len(initial))
+        # layer 1 has room to churn, so a nonzero zeta would show
+        assert initial[1].sum() < initial[1].size
+        assert len(sent) == 2 * cfg.rounds and len(masks) == cfg.rounds
+        for idx in sent:
+            for l in static:
+                assert np.array_equal(idx[l], np.flatnonzero(initial[l]))
+        for round_masks in masks:
+            for l in static:
+                assert np.array_equal(round_masks[l], initial[l])
+        if selection:
+            assert plan.removal.T == 3   # ceil(6 - 3): zeta 0 keeps only K inputs
+            assert metrics[-1].connected_input_neurons == 6 - plan.removal.T
+            assert not np.array_equal(masks[-1][0], initial[0])
 
     def test_nnz_conserved_with_feature_selection(self):
         parts = tiny_partition(m=2)

@@ -12,7 +12,7 @@ from dsffs.input_selector import (
     select_features,
 )
 
-from conftest import build_net
+from conftest import build_net, conns
 
 
 def input_net(w, mask=None, hidden=None):
@@ -167,7 +167,9 @@ class TestPruneInput:
         before = net.layers[0].nnz()
         update = prune_input(net, removed, ScheduleCounts(1, 0), zeta=0.0)
         assert net.layers[0].nnz() == before - 2  # only row 1's two connections
-        assert update.pruned_neurons == [1]
+        assert sorted(update.delta.pruned.tolist()) == [[0, 1, 0], [0, 1, 1]]
+        assert np.flatnonzero(removed).tolist() == [1]  # the weakest, marked here
+        assert not net.layers[0].mask[1].any()
 
     def test_matches_brute_force_simulator(self):
         for seed in range(40):
@@ -196,9 +198,10 @@ class TestRegrowInput:
         removed = np.zeros(net.layers[0].rows, dtype=bool)
         from dsffs.input_selector import InputUpdate
         from dsffs.dst_update import TopologyDelta
-        update = InputUpdate(TopologyDelta(), [])
+        update = InputUpdate(TopologyDelta())
         grads = np.array([[0.0, 0.0], [0.1, 0.8]])
         regrow_input(net, removed, ScheduleCounts(0, 1), grads, update)
+        assert not removed.any()
         assert net.layers[0].mask[1, 1]
         assert net.layers[0].weights[1, 1] == 0.0
         assert net.layers[0].nnz() == 3
@@ -235,12 +238,13 @@ class TestRegrowInput:
         removed = np.zeros(net.layers[0].rows, dtype=bool)
         counts = ScheduleCounts(1, 1)
         update = prune_input(net, removed, counts, zeta=0.0)
-        assert update.pruned_neurons == [1, 3]  # ascending strength
+        # rows 1 and 3 are cut, and the weaker of them is out for good
+        assert not net.layers[0].mask[[1, 3]].any()
+        assert np.flatnonzero(removed).tolist() == [1]
         # the dense layer has no free position off the pruned ones
         with pytest.warns(RuntimeWarning, match="layer 0: only 0 positions available"):
             regrow_input(net, removed, counts, np.ones((4, 2)), update)
-        assert removed[1]                       # weakest stays out for good
-        assert not removed[3]
+        assert np.flatnonzero(removed).tolist() == [1]  # the regrow marks none
         assert net.layers[0].mask[3].any()      # the other was regrown
         assert not net.layers[0].mask[1].any()
 
@@ -254,12 +258,14 @@ class TestRegrowInput:
             net = input_net(w, mask=mask, hidden=np.ones((5, 2)))
             removed = np.zeros(net.layers[0].rows, dtype=bool)
             counts = ScheduleCounts(1, 1)
+            _, _, victims = brute_force_prune(w, mask, removed, counts.n_p, 0.25)
             update = prune_input(net, removed, counts, zeta=0.25)
+            assert np.flatnonzero(removed).tolist() == victims[:counts.n_remove]
+            assert not net.layers[0].mask[victims].any()
             regrow_input(net, removed, counts, rng.normal(size=(9, 5)), update)
-            overlap = (set(map(tuple, update.delta.pruned.tolist()))
-                       & set(map(tuple, update.delta.regrown.tolist())))
+            overlap = conns(update.delta.pruned) & conns(update.delta.regrown)
             # such a neuron was cleared whole this update and is connected again
-            assert all(i in update.pruned_neurons and net.layers[0].mask[i].any()
+            assert all(i in victims and net.layers[0].mask[i].any()
                        for (_, i, _j) in overlap)
 
     def test_permanently_removed_never_reconnected(self):

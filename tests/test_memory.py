@@ -23,7 +23,7 @@ from dsffs import cli, fed_core, metrics
 from dsffs.data import generate_synthetic
 from dsffs.fed_core import FedConfig, plan_run, run_training
 
-from test_fed_core import plan_and_train, tiny_partition
+from conftest import plan_and_train, tiny_partition
 
 
 def traced_peak(fn):

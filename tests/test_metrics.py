@@ -13,8 +13,7 @@ from dsffs.metrics import (
 )
 from dsffs.sparse_net import forward, init_er_topology
 
-from conftest import build_net
-from test_fed_core import tiny_partition
+from conftest import build_net, tiny_partition
 
 
 def plan_costs(dims, shard_sizes, **keys):

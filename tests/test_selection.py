@@ -25,6 +25,8 @@ from dsffs.fed_core import _keep_topk
 from dsffs.input_selector import ScheduleCounts, prune_input, regrow_input, select_features
 from dsffs.sparse_net import ConfigError, SparseLayer, SparseNetwork
 
+from conftest import conns
+
 # few distinct values, so ties are common; NaN and inf stand for a diverging run
 VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0, np.inf, np.nan])
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -50,10 +52,6 @@ def network(layer, extra_target=0):
     nnz = layer.nnz()
     density = nnz / (layer.rows * layer.cols)
     return SparseNetwork([layer.copy()], 1.0 - density, [density], [nnz + extra_target])
-
-
-def conns(triples) -> set:
-    return {tuple(int(v) for v in t) for t in triples}
 
 
 def same_layer(a: SparseLayer, b: SparseLayer) -> bool:
@@ -191,7 +189,10 @@ class TestCallSites:
             warnings.simplefilter("ignore", RuntimeWarning)
             update = prune_input(new, new_removed, counts, zeta)
             ref_delta, victims = ref.prune_input(old, ref_state, counts, zeta)
-            assert update.pruned_neurons == victims
+            # the n_remove weakest victims are marked, which pins their order
+            gained = np.flatnonzero(new_removed & ~removed).tolist()
+            assert gained == sorted(victims[:n_remove])
+            assert not new.layers[0].mask[victims].any()
             assert same_layer(new.layers[0], old.layers[0])
             assert conns(update.delta.pruned) == conns(ref_delta.pruned)
             regrow_input(new, new_removed, counts, grad, update)
